@@ -63,10 +63,11 @@ type Config struct {
 	// NaiveMasks disables the mask-family kernel: filter predicates and
 	// aggregation FILTER masks are evaluated as independent per-expression
 	// value vectors instead of factored bitmap families. Results are
-	// identical either way — this is the validation baseline the mask
-	// differential tests and `benchrunner -mask` compare against, not a
-	// tuning knob. Needs no normalization (false is the default and the
-	// fast path).
+	// identical either way — this is the oracle of the MaskFamily and
+	// MaskFamilyTPCDS rows of the differential harness
+	// (engine/differential_test.go) and the baseline `benchrunner -mask`
+	// compares against, not a tuning knob. Needs no normalization (false is
+	// the default and the fast path).
 	NaiveMasks bool
 	// ShareExec opts this engine's queries into cross-query shared
 	// execution (internal/xfuse): concurrently arriving queries with
@@ -103,20 +104,22 @@ type Config struct {
 	// Scan→Filter→Project chains run as pull iterators with dense
 	// projection materialization instead of compiled push loops, and the
 	// scalar-aggregation and sort-run pipeline sinks stay serial. Results
-	// are identical either way — this is the validation baseline the
-	// pipeline differential tests and `benchrunner -pipeline` compare
-	// against, not a tuning knob. Needs no normalization (false is the
-	// default and the fast path).
+	// are identical either way — this is the oracle of the Pipeline and
+	// PipelineTPCDS rows of the differential harness
+	// (engine/differential_test.go) and the baseline `benchrunner
+	// -pipeline` compares against, not a tuning knob. Needs no
+	// normalization (false is the default and the fast path).
 	PullExec bool
 	// NoSkip disables data skipping: scan leaves decode every surviving
 	// partition instead of pruning chunks whose zone maps (write-time
 	// min/max/null-count stats) prove the predicate — or a hash join's
 	// sideways build-key filter — can match no row. Results and logical
 	// metrics (bytes scanned, rows processed) are identical either way;
-	// Metrics.Skip tells the physical story. This is the validation baseline
-	// the skip differential tests and `benchrunner -skip` compare against,
-	// not a tuning knob. Needs no normalization (false is the default and
-	// the fast path).
+	// Metrics.Skip tells the physical story. This is the oracle of the Skip,
+	// SkipSelective and SkipTPCDS rows of the differential harness
+	// (engine/differential_test.go) and the baseline `benchrunner -skip`
+	// compares against, not a tuning knob. Needs no normalization (false is
+	// the default and the fast path).
 	NoSkip bool
 }
 

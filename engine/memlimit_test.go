@@ -3,266 +3,14 @@ package engine
 import (
 	"errors"
 	"os"
-	"strconv"
 	"testing"
 
 	"repro/internal/testgen"
-	"repro/internal/tpcds"
 )
 
-// This file is the memory-governance differential harness: the same query
-// corpora as difffuzz_test.go run under a memory limit low enough that
-// aggregations and sorts demonstrably spill to disk, and every run must
-// still reproduce the unlimited serial reference byte-for-byte with
-// identical BytesScanned and RowsProcessed. Spilling (like parallelism,
-// batch size and scan sharing) must be unobservable in results — only
-// Metrics.SpilledBytes/SpillFiles/PeakMemoryBytes may change.
-
-// spillTestLimit is the per-engine memory budget the differential spill
-// corpus runs under. Low enough that testgen's aggregation and sort state
-// spills, high enough that unspillable state (join builds, window buffers)
-// still fits. REPRO_TEST_MEMLIMIT overrides it, which is how the CI
-// spill-stress job tightens the screw.
-const defaultSpillTestLimit = 96 << 10
-
-func spillTestLimit(def int64) int64 {
-	if s := os.Getenv("REPRO_TEST_MEMLIMIT"); s != "" {
-		if v, err := strconv.ParseInt(s, 10, 64); err == nil && v > 0 {
-			return v
-		}
-	}
-	return def
-}
-
-// spillConfigs cover the full execution matrix under a memory limit:
-// degenerate row-at-a-time, full parallel, adversarial odd shards, and
-// parallel with cross-query scan sharing.
-var spillConfigs = []struct {
-	name        string
-	parallelism int
-	batchSize   int
-	share       bool
-}{
-	{"p1b1", 1, 1, false},
-	{"p8b1024", 8, 1024, false},
-	{"p3b7", 3, 7, false},
-	{"p4b256share", 4, 256, true},
-}
-
-func TestDifferentialSpill(t *testing.T) {
-	st := diffTestStore(t)
-	limit := spillTestLimit(defaultSpillTestLimit)
-	const corpus = 60
-
-	queries := make([]string, corpus)
-	for seed := range queries {
-		queries[seed] = testgen.New(int64(seed)).Query()
-	}
-
-	for _, fusion := range []bool{false, true} {
-		ref := OpenWithStore(st, Config{EnableFusion: fusion, Parallelism: 1, BatchSize: 1})
-		type refResult struct {
-			rows      string
-			scanned   int64
-			processed int64
-		}
-		refs := make([]refResult, corpus)
-		for i, q := range queries {
-			res, err := ref.Query(q)
-			if err != nil {
-				t.Fatalf("reference (fusion=%v) failed: %v\n%s", fusion, err, q)
-			}
-			refs[i] = refResult{exactRows(res.Rows), res.Metrics.Storage.BytesScanned, res.Metrics.RowsProcessed}
-		}
-
-		spilledByOp := map[string]int64{}
-		for _, cfg := range spillConfigs {
-			spillDir := t.TempDir()
-			eng := OpenWithStore(st, Config{
-				EnableFusion: fusion, Parallelism: cfg.parallelism, BatchSize: cfg.batchSize,
-				ShareScans: cfg.share, ScanCacheBytes: 1 << 20,
-				MemoryLimitBytes: limit, SpillDir: spillDir,
-			})
-			for i, q := range queries {
-				res, err := eng.Query(q)
-				if err != nil {
-					t.Fatalf("seed %d %s (fusion=%v limit=%d) failed: %v\n%s", i, cfg.name, fusion, limit, err, q)
-				}
-				if got := exactRows(res.Rows); got != refs[i].rows {
-					t.Fatalf("seed %d %s (fusion=%v): rows differ under memory limit\nquery:\n%s\ngot:\n%s\nwant:\n%s\nplan:\n%s",
-						i, cfg.name, fusion, q, got, refs[i].rows, res.Plan)
-				}
-				if got := res.Metrics.Storage.BytesScanned; got != refs[i].scanned {
-					t.Fatalf("seed %d %s (fusion=%v): BytesScanned %d != %d\n%s", i, cfg.name, fusion, got, refs[i].scanned, q)
-				}
-				if got := res.Metrics.RowsProcessed; got != refs[i].processed {
-					t.Fatalf("seed %d %s (fusion=%v): RowsProcessed %d != %d\n%s", i, cfg.name, fusion, got, refs[i].processed, q)
-				}
-				if res.Metrics.PeakMemoryBytes > limit {
-					t.Fatalf("seed %d %s (fusion=%v): peak tracked memory %d exceeds limit %d\n%s",
-						i, cfg.name, fusion, res.Metrics.PeakMemoryBytes, limit, q)
-				}
-				for op, st := range res.Metrics.MemOperators {
-					spilledByOp[op] += st.SpilledBytes
-				}
-			}
-			if ents, err := os.ReadDir(spillDir); err != nil {
-				t.Fatal(err)
-			} else if len(ents) != 0 {
-				t.Fatalf("%s (fusion=%v): %d spill files leaked in %s", cfg.name, fusion, len(ents), spillDir)
-			}
-		}
-		// The corpus must actually exercise the spill paths, or the whole
-		// test is vacuous: both aggregation and sort must have shed bytes.
-		if spilledByOp["groupby"] == 0 {
-			t.Fatalf("fusion=%v: no aggregation spill across the corpus (per-op: %v); limit %d too high", fusion, spilledByOp, limit)
-		}
-		if spilledByOp["sort"] == 0 {
-			t.Fatalf("fusion=%v: no sort spill across the corpus (per-op: %v); limit %d too high", fusion, spilledByOp, limit)
-		}
-	}
-}
-
-// TestDifferentialSpillTPCDS runs the full TPC-DS workload (the paper's
-// eight affected queries plus the filler set) under per-query memory
-// limits derived from each query's own unlimited memory profile: the limit
-// sits a fixed margin above the query's unspillable floor (join builds,
-// window buffers, spools) and below its total peak, so queries with
-// substantial aggregation or sort state are forced to spill while
-// join-dominated queries (whose state cannot spill) still fit. Every run
-// must match the unlimited serial reference byte-for-byte.
-func TestDifferentialSpillTPCDS(t *testing.T) {
-	st, err := tpcds.NewLoadedStore(0.1, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// floorMargin is the headroom above the unspillable floor a limited run
-	// needs: replay reserves in 64KB chunks, merge cursors hold a few rows.
-	const floorMargin = 256 << 10
-
-	for _, fusion := range []bool{false, true} {
-		ref := OpenWithStore(st, Config{EnableFusion: fusion, Parallelism: 1, BatchSize: 1})
-		var spilledQueries, testedQueries int
-		for _, q := range tpcds.Queries() {
-			refRes, err := ref.Query(q.SQL)
-			if err != nil {
-				t.Fatalf("%s reference (fusion=%v) failed: %v", q.Name, fusion, err)
-			}
-			var spillablePeak, unspillPeak int64
-			for op, s := range refRes.Metrics.MemOperators {
-				if op == "groupby" || op == "sort" {
-					spillablePeak += s.PeakBytes
-				} else {
-					unspillPeak += s.PeakBytes
-				}
-			}
-			peak := refRes.Metrics.PeakMemoryBytes
-			// Force a spill only when the query's peak clears the floor by
-			// enough that a limit between them is safe; otherwise just check
-			// the query survives a limit at its own peak.
-			expectSpill := peak >= unspillPeak+floorMargin+(128<<10)
-			limit := unspillPeak + floorMargin
-			if !expectSpill {
-				limit = peak + (64 << 10)
-			}
-			testedQueries++
-			if expectSpill {
-				spilledQueries++
-			}
-			want := exactRows(refRes.Rows)
-			for _, cfg := range spillConfigs {
-				spillDir := t.TempDir()
-				eng := OpenWithStore(st, Config{
-					EnableFusion: fusion, Parallelism: cfg.parallelism, BatchSize: cfg.batchSize,
-					ShareScans: cfg.share, ScanCacheBytes: 1 << 20,
-					MemoryLimitBytes: limit, SpillDir: spillDir,
-				})
-				res, err := eng.Query(q.SQL)
-				if err != nil {
-					t.Fatalf("%s %s (fusion=%v limit=%d) failed: %v", q.Name, cfg.name, fusion, limit, err)
-				}
-				if got := exactRows(res.Rows); got != want {
-					t.Fatalf("%s %s (fusion=%v): rows differ under memory limit\ngot:\n%s\nwant:\n%s", q.Name, cfg.name, fusion, got, want)
-				}
-				if got, want := res.Metrics.Storage.BytesScanned, refRes.Metrics.Storage.BytesScanned; got != want {
-					t.Fatalf("%s %s (fusion=%v): BytesScanned %d != %d", q.Name, cfg.name, fusion, got, want)
-				}
-				if got, want := res.Metrics.RowsProcessed, refRes.Metrics.RowsProcessed; got != want {
-					t.Fatalf("%s %s (fusion=%v): RowsProcessed %d != %d", q.Name, cfg.name, fusion, got, want)
-				}
-				if res.Metrics.PeakMemoryBytes > limit {
-					t.Fatalf("%s %s (fusion=%v): peak tracked memory %d exceeds limit %d", q.Name, cfg.name, fusion, res.Metrics.PeakMemoryBytes, limit)
-				}
-				if expectSpill && res.Metrics.SpilledBytes == 0 {
-					t.Fatalf("%s %s (fusion=%v): expected a spill at limit %d (ref peak %d, floor %d) but none happened",
-						q.Name, cfg.name, fusion, limit, peak, unspillPeak)
-				}
-				if ents, err := os.ReadDir(spillDir); err != nil {
-					t.Fatal(err)
-				} else if len(ents) != 0 {
-					t.Fatalf("%s %s (fusion=%v): %d spill files leaked", q.Name, cfg.name, fusion, len(ents))
-				}
-			}
-		}
-		if spilledQueries == 0 {
-			t.Fatalf("fusion=%v: no TPC-DS query qualified for a forced spill (of %d)", fusion, testedQueries)
-		}
-		t.Logf("fusion=%v: %d/%d TPC-DS queries forced to spill", fusion, spilledQueries, testedQueries)
-	}
-}
-
-// FuzzDifferentialSpill extends the spill differential to go test -fuzz:
-// the fuzzer mutates the generator seed, searching for a query shape whose
-// results change when execution runs under a tight memory budget.
-func FuzzDifferentialSpill(f *testing.F) {
-	for _, seed := range []int64{0, 1, 17, 42, 20220513, -9} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, seed int64) {
-		st := diffTestStore(t)
-		limit := spillTestLimit(defaultSpillTestLimit)
-		query := testgen.New(seed).Query()
-		for _, fusion := range []bool{false, true} {
-			ref := OpenWithStore(st, Config{EnableFusion: fusion, Parallelism: 1, BatchSize: 1})
-			refRes, err := ref.Query(query)
-			if err != nil {
-				t.Fatalf("seed %d reference (fusion=%v) failed: %v\n%s", seed, fusion, err, query)
-			}
-			want := exactRows(refRes.Rows)
-			for _, cfg := range spillConfigs {
-				spillDir := t.TempDir()
-				eng := OpenWithStore(st, Config{
-					EnableFusion: fusion, Parallelism: cfg.parallelism, BatchSize: cfg.batchSize,
-					ShareScans: cfg.share, ScanCacheBytes: 1 << 20,
-					MemoryLimitBytes: limit, SpillDir: spillDir,
-				})
-				res, err := eng.Query(query)
-				if err != nil {
-					t.Fatalf("seed %d %s (fusion=%v limit=%d) failed: %v\n%s", seed, cfg.name, fusion, limit, err, query)
-				}
-				if got := exactRows(res.Rows); got != want {
-					t.Fatalf("seed %d %s (fusion=%v): rows differ under memory limit\nquery:\n%s\ngot:\n%s\nwant:\n%s",
-						seed, cfg.name, fusion, query, got, want)
-				}
-				if got, want := res.Metrics.Storage.BytesScanned, refRes.Metrics.Storage.BytesScanned; got != want {
-					t.Fatalf("seed %d %s (fusion=%v): BytesScanned %d != %d\n%s", seed, cfg.name, fusion, got, want, query)
-				}
-				if got, want := res.Metrics.RowsProcessed, refRes.Metrics.RowsProcessed; got != want {
-					t.Fatalf("seed %d %s (fusion=%v): RowsProcessed %d != %d\n%s", seed, cfg.name, fusion, got, want, query)
-				}
-				if res.Metrics.PeakMemoryBytes > limit {
-					t.Fatalf("seed %d %s (fusion=%v): peak tracked memory %d exceeds limit %d\n%s",
-						seed, cfg.name, fusion, res.Metrics.PeakMemoryBytes, limit, query)
-				}
-				if ents, err := os.ReadDir(spillDir); err != nil {
-					t.Fatal(err)
-				} else if len(ents) != 0 {
-					t.Fatalf("seed %d %s (fusion=%v): %d spill files leaked", seed, cfg.name, fusion, len(ents))
-				}
-			}
-		}
-	})
-}
+// This file holds memory governance's failure-path tests. The spilling
+// corpus comparison is the Spill and SpillTPCDS rows of the differential
+// harness (differential_test.go).
 
 // TestMemoryExceededError checks the failure mode when unspillable state
 // cannot fit: the error unwraps to ErrMemoryExceeded and names the query.

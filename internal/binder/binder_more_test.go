@@ -1,10 +1,13 @@
 package binder
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/logical"
+	"repro/internal/testgen"
+	"repro/internal/tpcds"
 )
 
 func TestBindSimpleCaseOperand(t *testing.T) {
@@ -176,5 +179,52 @@ func TestBindDateLiteral(t *testing.T) {
 	_, _, err := New(testCatalog()).BindSQL(`SELECT DATE 'not-a-date' AS d`)
 	if err == nil {
 		t.Error("bad date literal accepted")
+	}
+}
+
+// TestBindIncomparableOperands checks that comparisons types.Compare
+// cannot order fail at bind time with a *TypeError instead of panicking
+// at execution.
+func TestBindIncomparableOperands(t *testing.T) {
+	for _, q := range []string{
+		`SELECT COUNT(*) FROM store_sales WHERE ss_quantity = 'a'`,
+		`SELECT COUNT(*) FROM store_sales WHERE ss_quantity BETWEEN 0 AND 0 BETWEEN 0 AND 0`,
+		`SELECT CASE WHEN(0) THEN (SELECT AVG(ss_ext_discount_amt) FROM store_sales WHERE ss_quantity BETWEEN 0 AND 0 BETWEEN 0 AND 0) END`,
+		`SELECT COUNT(*) FROM store_sales WHERE ss_quantity IN (1, 'x')`,
+		`SELECT COUNT(*) FROM store_sales WHERE ss_quantity IN (SELECT i_brand FROM item)`,
+		`SELECT CASE ss_quantity WHEN 'x' THEN 1 END FROM store_sales`,
+	} {
+		_, _, err := New(tpcds.NewCatalog()).BindSQL(q)
+		var te *TypeError
+		if !errors.As(err, &te) {
+			t.Errorf("bind %q: err = %v, want a *TypeError", q, err)
+		}
+	}
+}
+
+// TestBindWorkloadCorpora checks the comparability rule rejects nothing the
+// engine runs: every TPC-DS proxy query and every generated query binds.
+func TestBindWorkloadCorpora(t *testing.T) {
+	b := New(tpcds.NewCatalog())
+	for _, q := range tpcds.Queries() {
+		if _, _, err := b.BindSQL(q.SQL); err != nil {
+			t.Errorf("%s: %v", q.Name, err)
+		}
+	}
+	st, err := testgen.NewStore(1, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb := New(st.Catalog())
+	var queries []string
+	for seed := int64(0); seed < 140; seed++ {
+		queries = append(queries, testgen.New(seed).Query())
+		queries = append(queries, testgen.ShareSet(seed, 5)...)
+	}
+	queries = append(queries, testgen.QuerySet(424242, 24)...)
+	for _, q := range queries {
+		if _, _, err := gb.BindSQL(q); err != nil {
+			t.Errorf("%v\n%s", err, q)
+		}
 	}
 }

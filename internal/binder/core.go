@@ -265,6 +265,9 @@ func (ctx *coreCtx) bindInSubquery(in *sql.InExpr) error {
 	if len(sub.cols) != 1 {
 		return fmt.Errorf("binder: IN subquery must return exactly one column, got %d", len(sub.cols))
 	}
+	if err := checkComparable("IN", probe, expr.Ref(sub.cols[0])); err != nil {
+		return err
+	}
 	ctx.plan = &logical.Join{
 		Kind:  logical.SemiJoin,
 		Left:  ctx.plan,
@@ -690,6 +693,11 @@ func (ctx *coreCtx) bindExpr(e sql.Expr) (expr.Expr, error) {
 		if !ok {
 			return nil, fmt.Errorf("binder: unsupported operator %q", x.Op)
 		}
+		if op.IsComparison() {
+			if err := checkComparable(x.Op, l, r); err != nil {
+				return nil, err
+			}
+		}
 		return expr.NewBinary(op, l, r), nil
 
 	case *sql.NotExpr:
@@ -719,6 +727,12 @@ func (ctx *coreCtx) bindExpr(e sql.Expr) (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := checkComparable("BETWEEN", inner, lo); err != nil {
+			return nil, err
+		}
+		if err := checkComparable("BETWEEN", inner, hi); err != nil {
+			return nil, err
+		}
 		rng := expr.And(
 			expr.NewBinary(expr.OpGe, inner, lo),
 			expr.NewBinary(expr.OpLe, inner, hi),
@@ -740,6 +754,9 @@ func (ctx *coreCtx) bindExpr(e sql.Expr) (expr.Expr, error) {
 		for i, item := range x.List {
 			list[i], err = ctx.bindExpr(item)
 			if err != nil {
+				return nil, err
+			}
+			if err := checkComparable("IN", inner, list[i]); err != nil {
 				return nil, err
 			}
 		}
@@ -790,6 +807,29 @@ func (ctx *coreCtx) bindExpr(e sql.Expr) (expr.Expr, error) {
 	}
 }
 
+// TypeError reports operands whose kinds an operator cannot combine, such
+// as a comparison types.Compare cannot order. Bind fails with it instead
+// of letting execution panic.
+type TypeError struct {
+	Op          string
+	Left, Right types.Kind
+}
+
+func (e *TypeError) Error() string {
+	return fmt.Sprintf("binder: cannot compare %s with %s in %s", e.Left, e.Right, e.Op)
+}
+
+// checkComparable applies types.Comparable to a comparison's operands. An
+// operand of unknown kind (a bare NULL) is NULL at run time, so the
+// comparison yields NULL without ever reaching types.Compare.
+func checkComparable(op string, l, r expr.Expr) error {
+	lk, rk := l.Type(), r.Type()
+	if lk == types.KindUnknown || rk == types.KindUnknown || types.Comparable(lk, rk) {
+		return nil
+	}
+	return &TypeError{Op: op, Left: lk, Right: rk}
+}
+
 var binOps = map[string]expr.BinOp{
 	"+": expr.OpAdd, "-": expr.OpSub, "*": expr.OpMul, "/": expr.OpDiv,
 	"=": expr.OpEq, "<>": expr.OpNe, "<": expr.OpLt, "<=": expr.OpLe,
@@ -812,6 +852,9 @@ func (ctx *coreCtx) bindCase(x *sql.CaseExpr) (expr.Expr, error) {
 			return nil, err
 		}
 		if operand != nil {
+			if err := checkComparable("CASE", operand, cond); err != nil {
+				return nil, err
+			}
 			cond = expr.Eq(operand, cond)
 		}
 		then, err := ctx.bindExpr(w.Then)

@@ -114,6 +114,10 @@ type Options struct {
 	// Results and logical metrics are identical either way — this is the
 	// differential-validation and benchmarking baseline.
 	NoSkip bool
+	// Snapshot, when non-nil, is the read view every scan leaf resolves its
+	// partitions from instead of the live store. internal/xfuse pins one so
+	// a fused run and its members' as-if-solo charges see the same data.
+	Snapshot *storage.Snapshot
 }
 
 func (o Options) withDefaults() Options {

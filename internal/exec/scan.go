@@ -118,7 +118,11 @@ func (ex *executor) newFilterIter(in BatchIterator, cond expr.Expr, layout map[e
 // accounting. The session closes after the leaf's workers drain (closers
 // run in append order), so callers must append it after their own closer.
 func (ex *executor) scanSource(s *logical.Scan, prune storage.Pruner) ([]*storage.Partition, *scanshare.Scan, error) {
-	parts, err := ex.store.ScanPartitions(s.Table.Name, s.ColNames, prune, &ex.metrics.Storage)
+	scan := ex.store.ScanPartitions
+	if ex.opts.Snapshot != nil {
+		scan = ex.opts.Snapshot.ScanPartitions
+	}
+	parts, err := scan(s.Table.Name, s.ColNames, prune, &ex.metrics.Storage)
 	if err != nil {
 		return nil, nil, err
 	}

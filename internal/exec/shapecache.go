@@ -14,7 +14,7 @@ import (
 // ShapeCache memoizes the expensive half of AnalyzeChain — the
 // ScanPartitions replay over partition metadata that computes a chain's
 // as-if-solo Storage charge and pruned cardinality — keyed by a plan
-// fingerprint plus the store's data epoch. Fused groups call AnalyzeChain
+// fingerprint at the store's data epoch. Fused groups call AnalyzeChain
 // once per member per run, and every member of a duplicate-query batch (the
 // paper's concurrent-dashboards motivation) shares one fingerprint, so the
 // partition walk happens once per distinct shape per data version instead
@@ -29,16 +29,18 @@ import (
 // identical pruning, so their Storage charge and pruned row count are
 // equal by construction. Stage counts are NOT cached — they are cheap to
 // recompute and belong to the individual plan.
+//
+// The cache holds one epoch's entries: only the newest epoch can ever hit
+// again, so the first analysis at a newer epoch drops every older entry,
+// and analyses at an older epoch (a run that pinned its snapshot before an
+// Append) are computed but not stored. Entries are bounded by the number of
+// distinct shapes at the live epoch.
 type ShapeCache struct {
 	mu      sync.Mutex
-	entries map[shapeKey]shapeEntry
+	epoch   int64
+	entries map[string]shapeEntry
 	hits    atomic.Int64
 	misses  atomic.Int64
-}
-
-type shapeKey struct {
-	epoch int64
-	fp    string
 }
 
 type shapeEntry struct {
@@ -48,12 +50,19 @@ type shapeEntry struct {
 
 // NewShapeCache creates an empty cache.
 func NewShapeCache() *ShapeCache {
-	return &ShapeCache{entries: make(map[shapeKey]shapeEntry)}
+	return &ShapeCache{entries: make(map[string]shapeEntry)}
 }
 
 // Hits and Misses report cache effectiveness (for tests and benchmarks).
 func (c *ShapeCache) Hits() int64   { return c.hits.Load() }
 func (c *ShapeCache) Misses() int64 { return c.misses.Load() }
+
+// Len reports the number of cached shapes.
+func (c *ShapeCache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}
 
 // shapeFPCol is the canonical stand-in for a chain's partition column in
 // fingerprints: remapping every plan's (fresh-ID) partition column onto it
@@ -82,8 +91,8 @@ func chainFingerprint(cs *chainSpec) (string, bool) {
 // AnalyzeChain is exec.AnalyzeChain through the cache: recognition and
 // stage layout are computed fresh (cheap, plan-specific), while the
 // partition-metadata replay is served from cache when an equal-fingerprint
-// chain was analyzed against the same store epoch.
-func (c *ShapeCache) AnalyzeChain(root logical.Operator, store *storage.Store) (*ChainShape, bool, error) {
+// chain was analyzed at the snapshot's epoch.
+func (c *ShapeCache) AnalyzeChain(root logical.Operator, snap *storage.Snapshot) (*ChainShape, bool, error) {
 	cs, ok := compileChain(root)
 	if !ok {
 		return nil, false, nil
@@ -95,15 +104,20 @@ func (c *ShapeCache) AnalyzeChain(root logical.Operator, store *storage.Store) (
 			break
 		}
 	}
-	// The epoch is read once, before the partition walk: a concurrent
-	// mutation (Load or Append) can at worst leave this result recorded
-	// under the pre-mutation epoch (a dead entry), never stale data under
-	// the live epoch.
+	// A snapshot's epoch names exactly the partition sets it walks, so an
+	// entry never holds data from another epoch.
 	fp, fpOK := chainFingerprint(cs)
-	key := shapeKey{epoch: store.Epoch(), fp: fp}
+	epoch := snap.Epoch()
 	if fpOK {
 		c.mu.Lock()
-		e, hit := c.entries[key]
+		if epoch > c.epoch {
+			c.epoch = epoch
+			clear(c.entries)
+		}
+		e, hit := c.entries[fp]
+		if epoch != c.epoch {
+			hit = false
+		}
 		c.mu.Unlock()
 		if hit {
 			c.hits.Add(1)
@@ -112,7 +126,7 @@ func (c *ShapeCache) AnalyzeChain(root logical.Operator, store *storage.Store) (
 			return sh, true, nil
 		}
 	}
-	parts, err := store.ScanPartitions(cs.scan.Table.Name, cs.scan.ColNames, cs.prune, &sh.Storage)
+	parts, err := snap.ScanPartitions(cs.scan.Table.Name, cs.scan.ColNames, cs.prune, &sh.Storage)
 	if err != nil {
 		return nil, true, err
 	}
@@ -122,7 +136,9 @@ func (c *ShapeCache) AnalyzeChain(root logical.Operator, store *storage.Store) (
 	c.misses.Add(1)
 	if fpOK {
 		c.mu.Lock()
-		c.entries[key] = shapeEntry{storage: sh.Storage, prunedRows: sh.PrunedRows}
+		if epoch == c.epoch {
+			c.entries[fp] = shapeEntry{storage: sh.Storage, prunedRows: sh.PrunedRows}
+		}
 		c.mu.Unlock()
 	}
 	return sh, true, nil

@@ -26,11 +26,11 @@ func TestShapeCacheMatchesUncached(t *testing.T) {
 	c := NewShapeCache()
 
 	plan := chainPlan(t, st, 2, 3)
-	want, ok, err := AnalyzeChain(plan, st)
+	want, ok, err := AnalyzeChain(plan, st.Snapshot())
 	if err != nil || !ok {
 		t.Fatalf("uncached AnalyzeChain: ok=%v err=%v", ok, err)
 	}
-	got, ok, err := c.AnalyzeChain(plan, st)
+	got, ok, err := c.AnalyzeChain(plan, st.Snapshot())
 	if err != nil || !ok {
 		t.Fatalf("cached AnalyzeChain: ok=%v err=%v", ok, err)
 	}
@@ -43,7 +43,7 @@ func TestShapeCacheMatchesUncached(t *testing.T) {
 
 	// An independently bound plan of the same shape (fresh column IDs)
 	// must hit and produce the identical analysis.
-	again, ok, err := c.AnalyzeChain(chainPlan(t, st, 2, 3), st)
+	again, ok, err := c.AnalyzeChain(chainPlan(t, st, 2, 3), st.Snapshot())
 	if err != nil || !ok {
 		t.Fatalf("second AnalyzeChain: ok=%v err=%v", ok, err)
 	}
@@ -58,13 +58,13 @@ func TestShapeCacheMatchesUncached(t *testing.T) {
 func TestShapeCacheDistinguishesShapes(t *testing.T) {
 	st := fixture(t)
 	c := NewShapeCache()
-	a, _, err := c.AnalyzeChain(chainPlan(t, st, 2, 3), st)
+	a, _, err := c.AnalyzeChain(chainPlan(t, st, 2, 3), st.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Different prune constant → different fingerprint → fresh analysis
 	// with a different partition charge.
-	b, _, err := c.AnalyzeChain(chainPlan(t, st, 1, 3), st)
+	b, _, err := c.AnalyzeChain(chainPlan(t, st, 1, 3), st.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestShapeCacheDistinguishesShapes(t *testing.T) {
 	// out of the pruning predicate — which it does (s_qty is not the
 	// partition column), so this is a hit.
 	before := c.Hits()
-	if _, _, err := c.AnalyzeChain(chainPlan(t, st, 2, 99), st); err != nil {
+	if _, _, err := c.AnalyzeChain(chainPlan(t, st, 2, 99), st.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	if c.Hits() != before+1 {
@@ -90,7 +90,7 @@ func TestShapeCacheDistinguishesShapes(t *testing.T) {
 func TestShapeCacheEpochInvalidation(t *testing.T) {
 	st := fixture(t)
 	c := NewShapeCache()
-	before, _, err := c.AnalyzeChain(chainPlan(t, st, 3, 0), st)
+	before, _, err := c.AnalyzeChain(chainPlan(t, st, 3, 0), st.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestShapeCacheEpochInvalidation(t *testing.T) {
 	if err := st.Load("sales", rows); err != nil {
 		t.Fatal(err)
 	}
-	after, _, err := c.AnalyzeChain(chainPlan(t, st, 3, 0), st)
+	after, _, err := c.AnalyzeChain(chainPlan(t, st, 3, 0), st.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +117,47 @@ func TestShapeCacheEpochInvalidation(t *testing.T) {
 		t.Fatalf("PrunedRows before/after reload = %d/%d, want 12/6", before.PrunedRows, after.PrunedRows)
 	}
 	// And the uncached analysis agrees with the cached one on fresh data.
-	want, _, err := AnalyzeChain(chainPlan(t, st, 3, 0), st)
+	want, _, err := AnalyzeChain(chainPlan(t, st, 3, 0), st.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *after != *want {
 		t.Fatalf("cached %+v != uncached %+v after reload", *after, *want)
+	}
+
+	// Appends strand the previous epoch's entries: after k appends, each
+	// followed by analyses of the same two shapes, the cache holds exactly
+	// the live epoch's two shapes.
+	for k := 0; k < 5; k++ {
+		if err := st.Append("sales", rows[:2]); err != nil {
+			t.Fatal(err)
+		}
+		for _, dateLt := range []int64{3, 1} {
+			if _, _, err := c.AnalyzeChain(chainPlan(t, st, dateLt, 0), st.Snapshot()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := c.Len(); got != 2 {
+			t.Fatalf("after append %d: %d cached shapes, want the live epoch's 2", k+1, got)
+		}
+	}
+
+	// An analysis pinned to an older snapshot is answered from that
+	// snapshot's data and neither evicts nor pollutes the live entries.
+	old := st.Snapshot()
+	if err := st.Append("sales", rows[:2]); err != nil {
+		t.Fatal(err)
+	}
+	live, _, err := c.AnalyzeChain(chainPlan(t, st, 3, 0), st.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, _, err := c.AnalyzeChain(chainPlan(t, st, 3, 0), old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stale.PrunedRows != live.PrunedRows-2 || c.Len() != 1 {
+		t.Fatalf("old-snapshot PrunedRows %d vs live %d, %d cached shapes; want live-2 and 1",
+			stale.PrunedRows, live.PrunedRows, c.Len())
 	}
 }

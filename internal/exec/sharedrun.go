@@ -122,8 +122,9 @@ type ChainShape struct {
 
 // AnalyzeChain recognizes root as a fusible chain (the same recognition the
 // push pipeline uses, including partition-prune peeling) and returns its
-// as-if-solo shape. ok=false when root is not such a chain.
-func AnalyzeChain(root logical.Operator, store *storage.Store) (*ChainShape, bool, error) {
+// as-if-solo shape over the snapshot's partitions. ok=false when root is not
+// such a chain.
+func AnalyzeChain(root logical.Operator, snap *storage.Snapshot) (*ChainShape, bool, error) {
 	cs, ok := compileChain(root)
 	if !ok {
 		return nil, false, nil
@@ -135,7 +136,7 @@ func AnalyzeChain(root logical.Operator, store *storage.Store) (*ChainShape, boo
 			break
 		}
 	}
-	parts, err := store.ScanPartitions(cs.scan.Table.Name, cs.scan.ColNames, cs.prune, &sh.Storage)
+	parts, err := snap.ScanPartitions(cs.scan.Table.Name, cs.scan.ColNames, cs.prune, &sh.Storage)
 	if err != nil {
 		return nil, true, err
 	}

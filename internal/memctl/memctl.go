@@ -324,11 +324,21 @@ func (t *Tracker) Reserve(op string, n int64) error {
 	return nil
 }
 
-// Release returns n bytes reserved by op to the pool.
+// Release returns n bytes reserved by op to the pool. Once the tracker is
+// closed it is a no-op: Close already returned everything the tracker held,
+// and a victim spilled on another query's behalf may release after that.
 func (t *Tracker) Release(op string, n int64) {
 	if n <= 0 {
 		return
 	}
+	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
+		return
+	}
+	t.used -= n
+	t.op(op).used -= n
+	t.mu.Unlock()
 	p := t.pool
 	p.mu.Lock()
 	p.used -= n
@@ -337,10 +347,6 @@ func (t *Tracker) Release(op string, n int64) {
 	}
 	p.notifyReleaseLocked()
 	p.mu.Unlock()
-	t.mu.Lock()
-	t.used -= n
-	t.op(op).used -= n
-	t.mu.Unlock()
 }
 
 // AddSpill records bytes and files written to disk by op.

@@ -13,7 +13,7 @@ import (
 	"repro/internal/testgen"
 )
 
-// TestServiceSoak is the CI service-soak scenario: a flooding tenant and
+// TestServiceSoak is the CI service race-soak scenario: a flooding tenant and
 // several light tenants drive concurrent queries through the full network
 // stack into one resident ShareExec engine, and the test asserts the
 // service's whole contract at once:

@@ -180,3 +180,48 @@ func TestAppendConcurrentSameTable(t *testing.T) {
 		seen[s] = true
 	}
 }
+
+// TestSnapshotEpochMatchesData takes snapshots while a writer appends: each
+// snapshot's epoch must name exactly the data it holds, and later appends
+// must not reach into it.
+func TestSnapshotEpochMatchesData(t *testing.T) {
+	st := NewStore(testCatalog())
+	row := [][]types.Value{{types.Int(1), types.String("r"), types.Int(1)}}
+	if err := st.Load("t", row); err != nil {
+		t.Fatal(err)
+	}
+	base := st.Epoch() - 1 // the epoch before the Load
+	const appends = 200
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < appends; i++ {
+			if err := st.Append("t", row); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for finished := false; !finished; {
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		snap := st.Snapshot()
+		parts, err := snap.ScanPartitions("t", []string{"a"}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := int64(len(parts)), snap.Epoch()-base; got != want {
+			t.Fatalf("snapshot at epoch %d holds %d partitions, want %d", snap.Epoch(), got, want)
+		}
+	}
+	old := st.Snapshot()
+	if err := st.Append("t", row); err != nil {
+		t.Fatal(err)
+	}
+	if parts, _ := old.ScanPartitions("t", []string{"a"}, nil, nil); len(parts) != appends+1 {
+		t.Fatalf("old snapshot sees %d partitions after a later append, want %d", len(parts), appends+1)
+	}
+}

@@ -286,8 +286,8 @@ func (s *Store) publish(table string, td *TableData) {
 	s.tables[table] = td
 	td.Table.Stats.RowCount.Store(td.NumRows())
 	td.Table.Stats.Partitions.Store(int64(len(td.Partitions)))
+	s.epoch.Add(1) // under the lock, so a Snapshot's epoch matches its tables
 	s.mu.Unlock()
-	s.epoch.Add(1)
 }
 
 // Load ingests rows for a table, splitting them into partitions by the
@@ -342,8 +342,8 @@ func (s *Store) Append(table string, rows [][]types.Value) error {
 	s.tables[table] = td
 	tab.Stats.RowCount.Store(td.NumRows())
 	tab.Stats.Partitions.Store(int64(len(td.Partitions)))
-	s.mu.Unlock()
 	s.epoch.Add(1)
+	s.mu.Unlock()
 	return nil
 }
 
@@ -364,7 +364,39 @@ type Pruner func(key types.Value) bool
 // metrics. The walk runs over an immutable TableData snapshot, so a
 // concurrent Load/Append never changes the partition set mid-enumeration.
 func (s *Store) ScanPartitions(table string, cols []string, prune Pruner, m *Metrics) ([]*Partition, error) {
-	td := s.Data(table)
+	return scanPartitions(table, s.Data(table), cols, prune, m)
+}
+
+// Snapshot is a consistent read view of every table's partition set as of
+// one store epoch. Runs that must agree on which data they read — a fused
+// run and the as-if-solo charges computed for its members — take one
+// snapshot and read through it, so a concurrent Append cannot land between
+// their partition walks.
+type Snapshot struct {
+	tables map[string]*TableData
+	epoch  int64
+}
+
+// Snapshot captures the current table set and its epoch.
+func (s *Store) Snapshot() *Snapshot {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	tables := make(map[string]*TableData, len(s.tables))
+	for name, td := range s.tables {
+		tables[name] = td
+	}
+	return &Snapshot{tables: tables, epoch: s.epoch.Load()}
+}
+
+// Epoch returns the store epoch the snapshot was taken at.
+func (sn *Snapshot) Epoch() int64 { return sn.epoch }
+
+// ScanPartitions is Store.ScanPartitions over the snapshot's partition sets.
+func (sn *Snapshot) ScanPartitions(table string, cols []string, prune Pruner, m *Metrics) ([]*Partition, error) {
+	return scanPartitions(table, sn.tables[table], cols, prune, m)
+}
+
+func scanPartitions(table string, td *TableData, cols []string, prune Pruner, m *Metrics) ([]*Partition, error) {
 	if td == nil {
 		return nil, fmt.Errorf("storage: table %q has no data loaded", table)
 	}

@@ -171,7 +171,7 @@ func (v Value) Equal(o Value) bool {
 }
 
 // Comparable reports whether two kinds can be compared (identical, or both
-// numeric).
+// numeric). It is the rule Compare enforces.
 func Comparable(a, b Kind) bool {
 	if a == b {
 		return true
@@ -180,10 +180,13 @@ func Comparable(a, b Kind) bool {
 }
 
 // Compare implements SQL ordering for non-NULL values: -1, 0 or +1. Mixed
-// int/float comparisons promote to float. Comparing incomparable kinds
-// panics; the binder rejects such expressions before execution.
+// int/float comparisons promote to float. Comparing kinds that are not
+// Comparable panics; the binder rejects such expressions before execution.
 func Compare(a, b Value) int {
-	if a.Kind != b.Kind && a.Kind.IsNumeric() && b.Kind.IsNumeric() {
+	if !Comparable(a.Kind, b.Kind) {
+		panic(fmt.Sprintf("types: cannot compare %s with %s", a.Kind, b.Kind))
+	}
+	if a.Kind != b.Kind {
 		af, bf := a.AsFloat(), b.AsFloat()
 		switch {
 		case af < bf:
@@ -193,9 +196,6 @@ func Compare(a, b Value) int {
 		default:
 			return 0
 		}
-	}
-	if a.Kind != b.Kind {
-		panic(fmt.Sprintf("types: cannot compare %s with %s", a.Kind, b.Kind))
 	}
 	switch a.Kind {
 	case KindString:

@@ -59,13 +59,14 @@ func (r *Runner) runSFPGroup(batched int64, g *group) {
 		}
 		subs[i] = exec.SharedSub{Comp: g.comps[i], Cols: cols}
 	}
-	fres, perSub, err := exec.RunShared(g.chain, r.store, r.groupOptions(g), subs)
+	opts := r.groupOptions(g)
+	fres, perSub, err := exec.RunShared(g.chain, r.store, opts, subs)
 	if err != nil {
 		deliverSoloGroup(g, batched)
 		return
 	}
 	for i, e := range g.members {
-		shape, ok, err := r.shapes.AnalyzeChain(e.cl.chainRoot, r.store)
+		shape, ok, err := r.shapes.AnalyzeChain(e.cl.chainRoot, opts.Snapshot)
 		if err != nil || !ok {
 			deliverSolo(e, batched)
 			continue
@@ -130,7 +131,8 @@ func (r *Runner) runScalarGroup(batched int64, g *group) {
 		}
 	}
 	gbPlan := &logical.GroupBy{Input: g.chain, Aggs: merged}
-	fres, err := exec.RunWith(gbPlan, r.store, r.groupOptions(g))
+	opts := r.groupOptions(g)
+	fres, err := exec.RunWith(gbPlan, r.store, opts)
 	if err != nil || len(fres.Rows) != 1 {
 		deliverSoloGroup(g, batched)
 		return
@@ -147,7 +149,7 @@ func (r *Runner) runScalarGroup(batched int64, g *group) {
 			deliverSolo(e, batched)
 			continue
 		}
-		shape, chOK, err := r.shapes.AnalyzeChain(e.cl.chainRoot, r.store)
+		shape, chOK, err := r.shapes.AnalyzeChain(e.cl.chainRoot, opts.Snapshot)
 		if err != nil || !chOK {
 			deliverSolo(e, batched)
 			continue

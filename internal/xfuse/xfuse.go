@@ -354,6 +354,10 @@ func (r *Runner) runGroup(batched int64, g *group) {
 // parallelism, so the scaling is unobservable in rows and logical metrics.
 func (r *Runner) groupOptions(g *group) exec.Options {
 	opts := r.opts
+	// The fused run and every member's as-if-solo charge (AnalyzeChain)
+	// read this one snapshot, so an Append racing the run cannot bill a
+	// member for data its rows did not come from.
+	opts.Snapshot = r.store.Snapshot()
 	opts.SharedClients = len(g.members)
 	opts.QueryText = sharedQueryText(len(g.members), g.members[0].sql)
 	// A fused run serves several clients' combined work, so it gets its own
