@@ -213,3 +213,31 @@ func BenchmarkOptimizeWorstCase(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPrepare times planning alone — parse, bind and optimize through
+// Engine.Prepare, no EXPLAIN rendering — on the fusion engine: the three
+// showcase queries whose plans fuse most, and one pass over all 40.
+func BenchmarkPrepare(b *testing.B) {
+	_, fused := engines(b)
+	for _, name := range []string{"q28", "q09", "q88"} {
+		q, _ := tpcds.Get(name)
+		b.Run(name, func(b *testing.B) { benchPrepare(b, fused, []tpcds.Query{q}) })
+	}
+	b.Run("all40", func(b *testing.B) { benchPrepare(b, fused, tpcds.Queries()) })
+}
+
+var preparedSink *engine.Prepared
+
+func benchPrepare(b *testing.B, eng *engine.Engine, qs []tpcds.Query) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, q := range qs {
+			p, err := eng.Prepare(q.SQL)
+			if err != nil {
+				b.Fatalf("%s: %v", q.Name, err)
+			}
+			preparedSink = p
+		}
+	}
+}

@@ -194,6 +194,16 @@ func testgenQueries(n int) *diffCorpus {
 	}}
 }
 
+// testgenQueriesAndShareSets is testgenQueries with each seed's five-query
+// share set added to its group. Share sets are Filter/Project chains over
+// one scan, the shape whose projections run over a selection vector in the
+// push pipeline; the testgen queries alone never reach that branch.
+func testgenQueriesAndShareSets(n int) *diffCorpus {
+	return &diffCorpus{size: n, store: diffTestStore, group: func(i int64) diffGroup {
+		return diffGroup{name: seedName(i), queries: append([]string{testgen.New(i).Query()}, testgen.ShareSet(i, 5)...)}
+	}}
+}
+
 // testgenShareSets is n sets of five shared-execution-eligible queries.
 // fresh builds a private store per set, for rows that append to it.
 func testgenShareSets(n int, fresh bool) *diffCorpus {
@@ -553,7 +563,7 @@ var diffRows = []*diffRow{
 	},
 	{
 		// Compiled push pipelines vs. the PullExec iterator baseline.
-		name: "Pipeline", corpus: testgenQueries(60), oracle: pullOracle, variants: maskShapes, twin: pull,
+		name: "Pipeline", corpus: testgenQueriesAndShareSets(60), oracle: pullOracle, variants: maskShapes, twin: pull,
 		vacuity: anyFusion("no fused pipelines across the corpus — the push path is not engaging",
 			func(n *diffTally) bool { return n.fusedPipelines > 0 }),
 	},
@@ -577,7 +587,7 @@ var diffRows = []*diffRow{
 		check: func(t *testing.T, r *diffRun) {
 			fatalIf(t, !r.cfg.NoSkip && (r.res.Metrics.Skip.ChunksPruned == 0 || r.res.Metrics.Skip.PrunedBytes == 0),
 				"%s (fusion=%v): selective query pruned nothing (vacuous): %+v\n%s\nplan:\n%s",
-				r.v.name, r.fusion, r.res.Metrics.Skip, r.query, r.res.Plan)
+				r.v.name, r.fusion, r.res.Metrics.Skip, r.query, r.res.Plan())
 		},
 	},
 	{
@@ -668,12 +678,12 @@ var diffRows = []*diffRow{
 			m := r.res.Metrics
 			if !spoolable[r.group.name] {
 				if m.SpoolBytesWritten != 0 {
-					t.Errorf("%s's duplicates differ syntactically; spooling should not trigger:\n%s", r.group.name, r.res.Plan)
+					t.Errorf("%s's duplicates differ syntactically; spooling should not trigger:\n%s", r.group.name, r.res.Plan())
 				}
 				return
 			}
-			if m.SpoolBytesWritten == 0 || !strings.Contains(r.res.Plan, "Spool") {
-				t.Errorf("expected a spool materialization:\n%s", r.res.Plan)
+			if m.SpoolBytesWritten == 0 || !strings.Contains(r.res.Plan(), "Spool") {
+				t.Errorf("expected a spool materialization:\n%s", r.res.Plan())
 			}
 			if m.SpoolBytesRead < 2*m.SpoolBytesWritten {
 				t.Errorf("spool must be read back per consumer: written=%d read=%d", m.SpoolBytesWritten, m.SpoolBytesRead)
@@ -1100,11 +1110,11 @@ func (p *diffPass) check(e *diffEngine, q string, res *Result, err error, ref *o
 	if p.row.multiset {
 		got, want := canonicalRows(res.Rows), canonicalRows(ref.res.Rows)
 		fatalIf(t, !reflect.DeepEqual(got, want), "%s: row multiset differs from oracle\ngot:  %v\nwant: %v\n%s\nplan:\n%s",
-			name, got, want, q, res.Plan)
+			name, got, want, q, res.Plan())
 	} else {
 		got := exactRows(res.Rows)
 		fatalIf(t, got != ref.rows, "%s: rows differ from oracle\nquery:\n%s\ngot:\n%s\nwant:\n%s\nplan:\n%s",
-			name, q, got, ref.rows, res.Plan)
+			name, q, got, ref.rows, res.Plan())
 		m, want := res.Metrics, ref.res.Metrics
 		fatalIf(t, m.Storage.BytesScanned != want.Storage.BytesScanned, "%s: BytesScanned %d != %d\n%s",
 			name, m.Storage.BytesScanned, want.Storage.BytesScanned, q)

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/binder"
 	"repro/internal/catalog"
@@ -33,6 +34,7 @@ import (
 	"repro/internal/memctl"
 	"repro/internal/optimizer"
 	"repro/internal/scanshare"
+	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/types"
 	"repro/internal/xfuse"
@@ -257,9 +259,13 @@ type Result struct {
 	Metrics Metrics
 	// RulesFired lists the fusion rules that changed the plan, in order.
 	RulesFired []string
-	// Plan is the optimized logical plan (EXPLAIN text).
-	Plan string
+
+	plan logical.Operator
 }
+
+// Plan renders the optimized logical plan (EXPLAIN text). It is rendered on
+// demand: a run does not pay for text nobody reads.
+func (r *Result) Plan() string { return logical.Format(r.plan) }
 
 // Query parses, plans, optimizes and executes a SQL query.
 func (e *Engine) Query(sqlText string) (*Result, error) {
@@ -298,16 +304,18 @@ type Prepared struct {
 	plan       logical.Operator
 	names      []string
 	rulesFired []string
+	planning   exec.PlanningMetrics
 	sqlText    string
 }
 
 // Prepare parses, binds and optimizes a query without executing it.
 func (e *Engine) Prepare(sqlText string) (*Prepared, error) {
-	plan, names, trace, err := e.plan(sqlText)
+	pl, err := e.plan(sqlText)
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{eng: e, plan: plan, names: names, rulesFired: trace.Fired, sqlText: sqlText}, nil
+	return &Prepared{eng: e, plan: pl.plan, names: pl.names, rulesFired: pl.trace.Fired,
+		planning: pl.timings, sqlText: sqlText}, nil
 }
 
 // Plan returns the optimized logical plan text.
@@ -361,37 +369,61 @@ func (p *Prepared) RunContextAs(ctx context.Context, tenant string) (*Result, er
 }
 
 func (p *Prepared) wrap(res *exec.Result) *Result {
-	return &Result{
+	out := &Result{
 		Columns:    p.names,
 		Rows:       res.Rows,
 		Metrics:    res.Metrics,
 		RulesFired: p.rulesFired,
-		Plan:       logical.Format(p.plan),
+		plan:       p.plan,
 	}
+	out.Metrics.Planning = p.planning
+	return out
 }
 
 // Explain returns the optimized logical plan without executing it, each
-// operator annotated with its estimated cardinality.
+// operator annotated with its estimated cardinality. A "--" header gives
+// the planning phase times and, with fusion on, each fusion rule's
+// attempts, firings and time.
 func (e *Engine) Explain(sqlText string) (string, error) {
-	plan, _, trace, err := e.plan(sqlText)
+	pl, err := e.plan(sqlText)
 	if err != nil {
 		return "", err
 	}
 	var b strings.Builder
-	if len(trace.Fired) > 0 {
-		fmt.Fprintf(&b, "-- fusion rules fired: %s\n", strings.Join(trace.Fired, ", "))
+	fmt.Fprintf(&b, "-- planning: parse %s, bind %s, optimize %s\n",
+		pl.timings.Parse, pl.timings.Bind, pl.timings.Optimize)
+	if len(pl.trace.Fired) > 0 {
+		fmt.Fprintf(&b, "-- fusion rules fired: %s\n", strings.Join(pl.trace.Fired, ", "))
 	}
-	b.WriteString(logical.FormatWith(plan, func(op logical.Operator) string {
+	for _, r := range pl.trace.Rules {
+		fmt.Fprintf(&b, "-- rule %s: %d attempts, %d fired, %s\n", r.Name, r.Attempts, r.Firings, r.Time)
+	}
+	b.WriteString(logical.FormatWith(pl.plan, func(op logical.Operator) string {
 		return fmt.Sprintf("(~%.0f rows)", logical.EstimateRows(op))
 	}))
 	return b.String(), nil
 }
 
-func (e *Engine) plan(sqlText string) (logical.Operator, []string, *optimizer.Trace, error) {
-	bound, names, err := e.binder.BindSQL(sqlText)
+// planned is a statement's optimized plan and how it was built.
+type planned struct {
+	plan    logical.Operator
+	names   []string
+	trace   *optimizer.Trace
+	timings exec.PlanningMetrics
+}
+
+func (e *Engine) plan(sqlText string) (*planned, error) {
+	start := time.Now()
+	stmt, err := sql.Parse(sqlText)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
+	parsed := time.Now()
+	bound, names, err := e.binder.Bind(stmt)
+	if err != nil {
+		return nil, err
+	}
+	bindDone := time.Now()
 	outputs := bound.Schema()
 	opts := optimizer.Options{
 		EnableFusion:  e.config.EnableFusion,
@@ -402,13 +434,18 @@ func (e *Engine) plan(sqlText string) (logical.Operator, []string, *optimizer.Tr
 	if e.config.EnableSpooling {
 		optimized, _ = optimizer.SpoolCommonSubplans(optimized)
 	}
+	timings := exec.PlanningMetrics{
+		Parse:    parsed.Sub(start),
+		Bind:     bindDone.Sub(parsed),
+		Optimize: time.Since(bindDone),
+	}
 	if err := logical.Validate(optimized); err != nil {
-		return nil, nil, nil, fmt.Errorf("engine: optimizer produced invalid plan: %w", err)
+		return nil, fmt.Errorf("engine: optimizer produced invalid plan: %w", err)
 	}
 	// Restore the statement's exact output schema (optimization may have
 	// widened or reordered the root).
 	optimized = restoreOutputs(optimized, outputs)
-	return optimized, names, trace, nil
+	return &planned{plan: optimized, names: names, trace: trace, timings: timings}, nil
 }
 
 // restoreOutputs wraps the plan so its schema is exactly the bound output

@@ -138,18 +138,18 @@ func TestWorkloadFusionEquivalence(t *testing.T) {
 			f := canonicalRows(fusedRes.Rows)
 			if len(b) != len(f) {
 				t.Fatalf("row counts differ: baseline=%d fused=%d\nbaseline plan:\n%s\nfused plan:\n%s",
-					len(b), len(f), baseRes.Plan, fusedRes.Plan)
+					len(b), len(f), baseRes.Plan(), fusedRes.Plan())
 			}
 			for i := range b {
 				if b[i] != f[i] {
 					t.Fatalf("row %d differs:\n  baseline: %s\n  fused:    %s\nfused plan:\n%s",
-						i, b[i], f[i], fusedRes.Plan)
+						i, b[i], f[i], fusedRes.Plan())
 				}
 			}
 
 			if q.Affected {
 				if len(fusedRes.RulesFired) == 0 {
-					t.Errorf("expected fusion rules to fire; plan:\n%s", fusedRes.Plan)
+					t.Errorf("expected fusion rules to fire; plan:\n%s", fusedRes.Plan())
 				}
 				for _, rule := range q.Rules {
 					found := false
@@ -168,7 +168,7 @@ func TestWorkloadFusionEquivalence(t *testing.T) {
 				}
 			} else {
 				if len(fusedRes.RulesFired) != 0 {
-					t.Errorf("filler query changed plan: rules %v\nplan:\n%s", fusedRes.RulesFired, fusedRes.Plan)
+					t.Errorf("filler query changed plan: rules %v\nplan:\n%s", fusedRes.RulesFired, fusedRes.Plan())
 				}
 				if fusedRes.Metrics.Storage.BytesScanned != baseRes.Metrics.Storage.BytesScanned {
 					t.Errorf("filler query bytes changed: baseline=%d fused=%d",

@@ -183,8 +183,10 @@ func TestBindDateLiteral(t *testing.T) {
 }
 
 // TestBindIncomparableOperands checks that comparisons types.Compare
-// cannot order fail at bind time with a *TypeError instead of panicking
-// at execution.
+// cannot order, non-boolean conditions, non-numeric arithmetic and SUM/AVG
+// operands, and CASE branches or COALESCE arguments of kinds that do not
+// combine fail at bind time with a *TypeError instead of panicking or
+// computing ill-typed values at execution.
 func TestBindIncomparableOperands(t *testing.T) {
 	for _, q := range []string{
 		`SELECT COUNT(*) FROM store_sales WHERE ss_quantity = 'a'`,
@@ -193,6 +195,15 @@ func TestBindIncomparableOperands(t *testing.T) {
 		`SELECT COUNT(*) FROM store_sales WHERE ss_quantity IN (1, 'x')`,
 		`SELECT COUNT(*) FROM store_sales WHERE ss_quantity IN (SELECT i_brand FROM item)`,
 		`SELECT CASE ss_quantity WHEN 'x' THEN 1 END FROM store_sales`,
+		`SELECT CASE WHEN 0 THEN 1 END FROM store_sales`,
+		`SELECT COUNT(*) FROM store_sales WHERE ss_quantity`,
+		`SELECT ss_quantity + 'a' FROM store_sales`,
+		`SELECT -'a' FROM store_sales`,
+		`SELECT NOT ss_quantity FROM store_sales`,
+		`SELECT SUM('a') FROM store_sales`,
+		`SELECT AVG(ss_quantity > 1) FROM store_sales`,
+		`SELECT CASE WHEN ss_quantity > 1 THEN 1 ELSE 'a' END FROM store_sales`,
+		`SELECT COALESCE(ss_quantity, 'a') FROM store_sales`,
 	} {
 		_, _, err := New(tpcds.NewCatalog()).BindSQL(q)
 		var te *TypeError

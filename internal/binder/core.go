@@ -68,6 +68,9 @@ func (b *Binder) bindCore(core *sql.SelectCore, outer *scope, ctes map[string]*s
 			if err != nil {
 				return nil, err
 			}
+			if err := checkKind("WHERE", "boolean", e); err != nil {
+				return nil, err
+			}
 			residual = append(residual, e)
 		}
 		if len(residual) > 0 {
@@ -87,6 +90,9 @@ func (b *Binder) bindCore(core *sql.SelectCore, outer *scope, ctes map[string]*s
 	// aggMap).
 	if core.Having != nil {
 		e, err := ctx.bindExpr(core.Having)
+		if err == nil {
+			err = checkKind("HAVING", "boolean", e)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("binder: HAVING: %w", err)
 		}
@@ -218,6 +224,9 @@ func (ctx *coreCtx) bindTableRef(ref sql.TableRef) (logical.Operator, error) {
 		if r.On != nil {
 			cond, err = ctx.bindExprNoSubquery(r.On)
 			if err != nil {
+				return nil, err
+			}
+			if err := checkKind("ON", "boolean", cond); err != nil {
 				return nil, err
 			}
 		}
@@ -438,11 +447,19 @@ func (ctx *coreCtx) bindAggCall(call *sql.FuncCall) (expr.AggCall, error) {
 		if err != nil {
 			return agg, err
 		}
+		if fn == expr.AggSum || fn == expr.AggAvg {
+			if err := checkKind(strings.ToUpper(call.Name), "numeric", arg); err != nil {
+				return agg, err
+			}
+		}
 		agg.Arg = arg
 	}
 	if call.Filter != nil {
 		mask, err := ctx.bindExpr(call.Filter)
 		if err != nil {
+			return agg, err
+		}
+		if err := checkKind("FILTER", "boolean", mask); err != nil {
 			return agg, err
 		}
 		agg.Mask = mask
@@ -693,9 +710,22 @@ func (ctx *coreCtx) bindExpr(e sql.Expr) (expr.Expr, error) {
 		if !ok {
 			return nil, fmt.Errorf("binder: unsupported operator %q", x.Op)
 		}
-		if op.IsComparison() {
+		switch {
+		case op.IsComparison():
 			if err := checkComparable(x.Op, l, r); err != nil {
 				return nil, err
+			}
+		case op.IsArithmetic():
+			for _, e := range []expr.Expr{l, r} {
+				if err := checkKind(x.Op, "numeric", e); err != nil {
+					return nil, err
+				}
+			}
+		default: // AND, OR
+			for _, e := range []expr.Expr{l, r} {
+				if err := checkKind(x.Op, "boolean", e); err != nil {
+					return nil, err
+				}
 			}
 		}
 		return expr.NewBinary(op, l, r), nil
@@ -705,14 +735,17 @@ func (ctx *coreCtx) bindExpr(e sql.Expr) (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &expr.Not{E: inner}, nil
+		if err := checkKind("NOT", "boolean", inner); err != nil {
+			return nil, err
+		}
+		return expr.NewNot(inner), nil
 
 	case *sql.IsNullExpr:
 		inner, err := ctx.bindExpr(x.E)
 		if err != nil {
 			return nil, err
 		}
-		return &expr.IsNull{E: inner, Neg: x.Neg}, nil
+		return expr.NewIsNull(inner, x.Neg), nil
 
 	case *sql.BetweenExpr:
 		inner, err := ctx.bindExpr(x.E)
@@ -738,7 +771,7 @@ func (ctx *coreCtx) bindExpr(e sql.Expr) (expr.Expr, error) {
 			expr.NewBinary(expr.OpLe, inner, hi),
 		)
 		if x.Neg {
-			return &expr.Not{E: rng}, nil
+			return expr.NewNot(rng), nil
 		}
 		return rng, nil
 
@@ -760,16 +793,16 @@ func (ctx *coreCtx) bindExpr(e sql.Expr) (expr.Expr, error) {
 				return nil, err
 			}
 		}
-		return &expr.InList{E: inner, List: list, Neg: x.Neg}, nil
+		return expr.NewInList(inner, list, x.Neg), nil
 
 	case *sql.LikeExpr:
 		inner, err := ctx.bindExpr(x.E)
 		if err != nil {
 			return nil, err
 		}
-		var out expr.Expr = &expr.Like{E: inner, Pattern: x.Pattern}
+		var out expr.Expr = expr.NewLike(inner, x.Pattern)
 		if x.Neg {
-			out = &expr.Not{E: out}
+			out = expr.NewNot(out)
 		}
 		return out, nil
 
@@ -789,7 +822,10 @@ func (ctx *coreCtx) bindExpr(e sql.Expr) (expr.Expr, error) {
 					return nil, err
 				}
 			}
-			return &expr.Coalesce{Args: args}, nil
+			if err := checkSameKind("COALESCE", args); err != nil {
+				return nil, err
+			}
+			return expr.NewCoalesce(args), nil
 		}
 		if _, isAgg := aggFuncs[x.Name]; isAgg {
 			return nil, fmt.Errorf("binder: aggregate %q not allowed in this position", x.Name)
@@ -807,16 +843,58 @@ func (ctx *coreCtx) bindExpr(e sql.Expr) (expr.Expr, error) {
 	}
 }
 
-// TypeError reports operands whose kinds an operator cannot combine, such
-// as a comparison types.Compare cannot order. Bind fails with it instead
-// of letting execution panic.
+// TypeError reports operands whose kinds an operator cannot take: a
+// comparison types.Compare cannot order, a condition that is not boolean,
+// an arithmetic, SUM or AVG operand that is not numeric, or CASE branches
+// and COALESCE arguments of kinds that do not combine. Bind fails with it
+// instead of letting execution panic or compute ill-typed values.
 type TypeError struct {
 	Op          string
 	Left, Right types.Kind
+	// Want names the kind class Op needs of its one operand Left
+	// ("boolean", "numeric"); empty when Left and Right do not combine.
+	Want string
 }
 
 func (e *TypeError) Error() string {
-	return fmt.Sprintf("binder: cannot compare %s with %s in %s", e.Left, e.Right, e.Op)
+	if e.Want != "" {
+		return fmt.Sprintf("binder: %s needs a %s operand, got %s", e.Op, e.Want, e.Left)
+	}
+	return fmt.Sprintf("binder: cannot combine %s with %s in %s", e.Left, e.Right, e.Op)
+}
+
+// checkKind requires e to be of the wanted kind class. A bare NULL
+// (unknown kind) is accepted everywhere: it evaluates to NULL.
+func checkKind(op, want string, e expr.Expr) error {
+	k := e.Type()
+	ok := k == types.KindUnknown
+	switch want {
+	case "boolean":
+		ok = ok || k == types.KindBool
+	case "numeric":
+		ok = ok || k.IsNumeric()
+	}
+	if ok {
+		return nil
+	}
+	return &TypeError{Op: op, Left: k, Want: want}
+}
+
+// checkSameKind requires every expression to combine with the others: one
+// kind, or numeric kinds only (unknown kinds aside).
+func checkSameKind(op string, es []expr.Expr) error {
+	first := types.KindUnknown
+	for _, e := range es {
+		k := e.Type()
+		switch {
+		case k == types.KindUnknown:
+		case first == types.KindUnknown:
+			first = k
+		case !types.Comparable(first, k):
+			return &TypeError{Op: op, Left: first, Right: k}
+		}
+	}
+	return nil
 }
 
 // checkComparable applies types.Comparable to a comparison's operands. An
@@ -837,7 +915,7 @@ var binOps = map[string]expr.BinOp{
 }
 
 func (ctx *coreCtx) bindCase(x *sql.CaseExpr) (expr.Expr, error) {
-	out := &expr.Case{}
+	var whens []expr.When
 	var operand expr.Expr
 	if x.Operand != nil {
 		var err error
@@ -856,19 +934,31 @@ func (ctx *coreCtx) bindCase(x *sql.CaseExpr) (expr.Expr, error) {
 				return nil, err
 			}
 			cond = expr.Eq(operand, cond)
+		} else if err := checkKind("CASE WHEN", "boolean", cond); err != nil {
+			return nil, err
 		}
 		then, err := ctx.bindExpr(w.Then)
 		if err != nil {
 			return nil, err
 		}
-		out.Whens = append(out.Whens, expr.When{Cond: cond, Then: then})
+		whens = append(whens, expr.When{Cond: cond, Then: then})
 	}
+	var els expr.Expr
 	if x.Else != nil {
-		e, err := ctx.bindExpr(x.Else)
-		if err != nil {
+		var err error
+		if els, err = ctx.bindExpr(x.Else); err != nil {
 			return nil, err
 		}
-		out.Else = e
 	}
-	return out, nil
+	branches := []expr.Expr{els}
+	if els == nil {
+		branches = nil
+	}
+	for _, w := range whens {
+		branches = append(branches, w.Then)
+	}
+	if err := checkSameKind("CASE", branches); err != nil {
+		return nil, err
+	}
+	return expr.NewCase(whens, els), nil
 }

@@ -101,6 +101,9 @@ func (ctx *coreCtx) decorrelateScalarAgg(stmt *sql.SelectStmt) (expr.Expr, error
 			if err != nil {
 				return nil, err
 			}
+			if err := checkKind("WHERE", "boolean", e); err != nil {
+				return nil, err
+			}
 			if len(rec) == before {
 				local = append(local, e)
 				continue

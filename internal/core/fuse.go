@@ -184,17 +184,23 @@ func fuseProjects(r1, r2 *logical.Project, depth int) (*Result, bool) {
 	for k, v := range in.M {
 		m[k] = v
 	}
+	byKey := reuseIndex{}
+	for i, a1 := range assigns {
+		byKey.add(expr.Key(a1.E), i)
+	}
 	for _, a2 := range r2.Cols {
 		mapped := in.M.Apply(a2.E)
+		key := expr.Key(mapped)
 		reused := false
-		for _, a1 := range assigns {
-			if expr.Equivalent(a1.E, mapped) {
-				m.Add(a2.Col.ID, a1.Col)
+		for _, i := range byKey[key] {
+			if expr.Equivalent(assigns[i].E, mapped) {
+				m.Add(a2.Col.ID, assigns[i].Col)
 				reused = true
 				break
 			}
 		}
 		if !reused {
+			byKey.add(key, len(assigns))
 			assigns = append(assigns, logical.Assignment{Col: a2.Col, E: mapped})
 			// The column is now a first-class output of the fused
 			// projection under its own identity; a child-level mapping for
@@ -298,13 +304,17 @@ func fuseJoins(j1, j2 *logical.Join, depth int) (*Result, bool) {
 func splitCommonCondition(c1, c2 expr.Expr) (common expr.Expr, resid1, resid2 []expr.Expr, ok bool) {
 	conj1 := expr.Conjuncts(expr.Simplify(c1))
 	conj2 := expr.Conjuncts(expr.Simplify(c2))
+	byKey := reuseIndex{}
+	for i, b := range conj2 {
+		byKey.add(expr.Key(b), i)
+	}
 	used := make([]bool, len(conj2))
 	var shared []expr.Expr
 	hasEquality := false
 	for _, a := range conj1 {
 		matched := false
-		for i, b := range conj2 {
-			if !used[i] && expr.Equivalent(a, b) {
+		for _, i := range byKey[expr.Key(a)] {
+			if !used[i] && expr.Equivalent(a, conj2[i]) {
 				used[i] = true
 				matched = true
 				break
@@ -361,12 +371,14 @@ func fuseGroupBys(g1, g2 *logical.GroupBy, depth int) (*Result, bool) {
 	}
 
 	newAggs := make([]logical.AggAssign, 0, len(g1.Aggs)+len(g2.Aggs)+2)
+	byKey := reuseIndex{}
 	for _, a := range g1.Aggs {
 		tightened := a.Agg
 		tightened.Mask = expr.Simplify(expr.And(a.Agg.Mask, in.L))
 		if expr.IsTrueLiteral(tightened.Mask) {
 			tightened.Mask = nil
 		}
+		byKey.add(expr.AggKey(tightened), len(newAggs))
 		newAggs = append(newAggs, logical.AggAssign{Col: a.Col, Agg: tightened})
 	}
 	for _, a := range g2.Aggs {
@@ -375,15 +387,17 @@ func fuseGroupBys(g1, g2 *logical.GroupBy, depth int) (*Result, bool) {
 		if expr.IsTrueLiteral(mapped.Mask) {
 			mapped.Mask = nil
 		}
+		key := expr.AggKey(mapped)
 		reused := false
-		for _, existing := range newAggs {
-			if expr.AggEqual(existing.Agg, mapped) {
-				m.Add(a.Col.ID, existing.Col)
+		for _, i := range byKey[key] {
+			if expr.AggEqual(newAggs[i].Agg, mapped) {
+				m.Add(a.Col.ID, newAggs[i].Col)
 				reused = true
 				break
 			}
 		}
 		if !reused {
+			byKey.add(key, len(newAggs))
 			newAggs = append(newAggs, logical.AggAssign{Col: a.Col, Agg: mapped})
 		}
 	}
@@ -448,6 +462,13 @@ func fuseMarkDistincts(d1, d2 *logical.MarkDistinct, depth int) (*Result, bool) 
 	outer := &logical.MarkDistinct{Input: inner, MarkCol: d1.MarkCol, On: d1.On, Mask: maskOrNil(mask1)}
 	return &Result{Plan: outer, M: m, L: in.L, R: in.R}, true
 }
+
+// reuseIndex finds earlier entries of a list by canonical key (expr.Key,
+// expr.AggKey); a caller confirms each candidate with the exact
+// equivalence test before reusing it.
+type reuseIndex map[uint64][]int
+
+func (ix reuseIndex) add(key uint64, i int) { ix[key] = append(ix[key], i) }
 
 func maskOrNil(e expr.Expr) expr.Expr {
 	if e == nil || expr.IsTrueLiteral(e) {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"hash/maphash"
+
 	"repro/internal/expr"
 	"repro/internal/logical"
 )
@@ -52,6 +54,10 @@ func (r JoinOnKeys) Apply(op logical.Operator) (logical.Operator, bool) {
 
 func applyJoinOnKeysOnce(g *JoinGraph, minReuseRows float64) bool {
 	classes := equalityClasses(g.Conjuncts)
+	sigs := make([]uint64, len(g.Inputs))
+	for i, in := range g.Inputs {
+		sigs[i] = scanSignature(in)
+	}
 	for i := range g.Inputs {
 		ki, ok := plannedKeys(g.Inputs[i])
 		if !ok || !containsAnyScan(g.Inputs[i]) {
@@ -61,7 +67,7 @@ func applyJoinOnKeysOnce(g *JoinGraph, minReuseRows float64) bool {
 			continue
 		}
 		for j := range g.Inputs {
-			if i == j {
+			if i == j || sigs[i] != sigs[j] {
 				continue
 			}
 			kj, ok := plannedKeys(g.Inputs[j])
@@ -235,4 +241,24 @@ func columnSet(cols []*expr.Column) map[expr.ColumnID]bool {
 		s[c.ID] = true
 	}
 	return s
+}
+
+var tableSeed = maphash.MakeSeed()
+
+// scanSignature summarizes the multiset of tables a plan scans. Fuse pairs
+// each scan of one plan with a scan of the same table in the other, and
+// neither drops nor adds a scan (the §III.G compensations only wrap or
+// unwrap Filter, Project and MarkDistinct roots; operators without a fuse
+// case fail), so plans whose signatures differ never fuse. The signature
+// is an order-free sum of per-table hashes: equal multisets always have
+// equal signatures, which is all a pre-filter needs.
+func scanSignature(op logical.Operator) uint64 {
+	var sig uint64
+	logical.Walk(op, func(o logical.Operator) bool {
+		if s, ok := o.(*logical.Scan); ok {
+			sig += maphash.String(tableSeed, s.Table.Name)
+		}
+		return true
+	})
+	return sig
 }

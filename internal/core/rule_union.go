@@ -54,7 +54,7 @@ func (r UnionAllFusion) Apply(op logical.Operator) (logical.Operator, bool) {
 			if expr.Equal(e0, e1) {
 				e = e0
 			} else {
-				e = &expr.Case{Whens: []expr.When{{Cond: res.Comps[0], Then: e0}}, Else: e1}
+				e = expr.NewCase([]expr.When{{Cond: res.Comps[0], Then: e0}}, e1)
 			}
 			top.Cols = append(top.Cols, logical.Assignment{Col: outCol, E: e})
 		}
@@ -102,7 +102,7 @@ func (r UnionAllFusion) Apply(op logical.Operator) (logical.Operator, bool) {
 					Then: exprs[i],
 				})
 			}
-			e = &expr.Case{Whens: whens, Else: exprs[n-1]}
+			e = expr.NewCase(whens, exprs[n-1])
 		}
 		top.Cols = append(top.Cols, logical.Assignment{Col: outCol, E: e})
 	}

@@ -275,7 +275,7 @@ func buildUnionTopProject(u *logical.UnionAll, branches []*uajBranch, subst []ex
 					Then: exprs[i],
 				})
 			}
-			e = &expr.Case{Whens: whens, Else: exprs[n-1]}
+			e = expr.NewCase(whens, exprs[n-1])
 		}
 		top.Cols = append(top.Cols, logical.Assignment{Col: outCol, E: e})
 	}
@@ -361,7 +361,7 @@ func buildLevelCond(lvl strippedLevel, subst []expr.Mapping, tagOut *expr.Column
 						Then: exprs[i],
 					})
 				}
-				leftKey = &expr.Case{Whens: whens, Else: exprs[n-1]}
+				leftKey = expr.NewCase(whens, exprs[n-1])
 			}
 			zCol := logical.OutputColumn(lvl.fusedZ, z)
 			parts = append(parts, expr.Eq(leftKey, expr.Ref(zCol)))

@@ -148,11 +148,10 @@ type compiledAggs struct {
 
 func compileAggs(aggs []logical.AggAssign, layout map[expr.ColumnID]int) (*compiledAggs, error) {
 	out := &compiledAggs{aggs: make([]compiledAgg, len(aggs))}
-	// Masks dedup by canonical form: `a AND b` and `b AND a` share one
-	// evaluator and one slot in the mask family. The canonical AST is what
-	// gets compiled — Simplify/normalize preserve three-valued semantics,
-	// and the conjunct order it fixes is the order the family factors on.
-	maskSlot := make(map[string]int)
+	// Masks dedup by canonical identity: `a AND b` and `b AND a` share one
+	// evaluator and one slot in the mask family. The stored simplified form
+	// is what gets compiled — Simplify preserves three-valued semantics.
+	maskSlot := make(map[uint64][]int)
 	for i, a := range aggs {
 		ca := compiledAgg{agg: a.Agg, maskIdx: -1}
 		var err error
@@ -162,22 +161,29 @@ func compileAggs(aggs []logical.AggAssign, layout map[expr.ColumnID]int) (*compi
 			}
 		}
 		if a.Agg.Mask != nil && !expr.IsTrueLiteral(a.Agg.Mask) {
-			canon := expr.Canonical(a.Agg.Mask)
-			if expr.IsTrueLiteral(canon) {
+			mask := expr.Simplify(a.Agg.Mask)
+			if expr.IsTrueLiteral(mask) {
 				// The mask folds to TRUE: the aggregate is unmasked.
 				out.aggs[i] = ca
 				continue
 			}
-			found, ok := maskSlot[canon.String()]
-			if !ok {
-				ev, err := newEvaluator(canon, layout)
+			key := expr.Key(mask)
+			found := -1
+			for _, slot := range maskSlot[key] {
+				if expr.Equivalent(out.maskAst[slot], mask) {
+					found = slot
+					break
+				}
+			}
+			if found < 0 {
+				ev, err := newEvaluator(mask, layout)
 				if err != nil {
 					return nil, err
 				}
 				out.masks = append(out.masks, ev)
-				out.maskAst = append(out.maskAst, canon)
+				out.maskAst = append(out.maskAst, mask)
 				found = len(out.masks) - 1
-				maskSlot[canon.String()] = found
+				maskSlot[key] = append(maskSlot[key], found)
 			}
 			ca.maskIdx = found
 		}

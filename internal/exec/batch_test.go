@@ -33,17 +33,17 @@ func TestBatchCompileMatchesRowCompile(t *testing.T) {
 		expr.NewBinary(expr.OpEq, expr.Ref(s), expr.Lit(types.String("x"))),
 		expr.NewBinary(expr.OpNe, expr.Ref(s), expr.Lit(types.String("x"))),
 		expr.NewBinary(expr.OpAnd, expr.Ref(b), expr.NewBinary(expr.OpGt, expr.Ref(a), expr.Lit(types.Int(0)))),
-		expr.NewBinary(expr.OpOr, expr.Ref(b), &expr.IsNull{E: expr.Ref(a)}),
-		&expr.Not{E: expr.Ref(b)},
-		&expr.IsNull{E: expr.Ref(a)},
-		&expr.IsNull{E: expr.Ref(a), Neg: true},
-		&expr.Coalesce{Args: []expr.Expr{expr.Ref(a), expr.Lit(types.Int(9))}},
-		&expr.Coalesce{Args: []expr.Expr{expr.Lit(types.NullOf(types.KindInt64)), expr.Ref(a), expr.Lit(types.Int(9))}},
-		&expr.InList{E: expr.Ref(a), List: []expr.Expr{expr.Lit(types.Int(1)), expr.Lit(types.Int(7))}},
-		&expr.Like{E: expr.Ref(s), Pattern: "he%o"},
-		&expr.Case{Whens: []expr.When{
+		expr.NewBinary(expr.OpOr, expr.Ref(b), expr.NewIsNull(expr.Ref(a), false)),
+		expr.NewNot(expr.Ref(b)),
+		expr.NewIsNull(expr.Ref(a), false),
+		expr.NewIsNull(expr.Ref(a), true),
+		expr.NewCoalesce([]expr.Expr{expr.Ref(a), expr.Lit(types.Int(9))}),
+		expr.NewCoalesce([]expr.Expr{expr.Lit(types.NullOf(types.KindInt64)), expr.Ref(a), expr.Lit(types.Int(9))}),
+		expr.NewInList(expr.Ref(a), []expr.Expr{expr.Lit(types.Int(1)), expr.Lit(types.Int(7))}, false),
+		expr.NewLike(expr.Ref(s), "he%o"),
+		expr.NewCase([]expr.When{
 			{Cond: expr.NewBinary(expr.OpGt, expr.Ref(a), expr.Lit(types.Int(0))), Then: expr.Lit(types.String("pos"))},
-		}, Else: expr.Lit(types.String("neg"))},
+		}, expr.Lit(types.String("neg"))),
 	}
 
 	cols := [][]types.Value{

@@ -84,9 +84,9 @@ func TestBatchBooleanKleeneTruthTables(t *testing.T) {
 func TestBatchRowFallbackUnderSelection(t *testing.T) {
 	a := expr.NewColumn("a", types.KindInt64)
 	layout := map[expr.ColumnID]int{a.ID: 0}
-	e := &expr.Case{Whens: []expr.When{
+	e := expr.NewCase([]expr.When{
 		{Cond: expr.NewBinary(expr.OpGt, expr.Ref(a), expr.Lit(types.Int(10))), Then: expr.Lit(types.String("big"))},
-	}, Else: expr.Lit(types.String("small"))}
+	}, expr.Lit(types.String("small")))
 	fn, err := compileBatchExpr(e, layout)
 	if err != nil {
 		t.Fatal(err)
@@ -122,16 +122,16 @@ func TestBatchCoalesceEarlyExit(t *testing.T) {
 		want []types.Value
 	}{
 		// NULL-bearing first argument: the second fills holes where it can.
-		{&expr.Coalesce{Args: []expr.Expr{expr.Ref(c), expr.Ref(a)}},
+		{expr.NewCoalesce([]expr.Expr{expr.Ref(c), expr.Ref(a)}),
 			[]types.Value{types.Int(-1), types.Int(-2), types.Int(3), null}},
 		// Literal dense first argument decides every row immediately.
-		{&expr.Coalesce{Args: []expr.Expr{expr.Lit(types.Int(7)), expr.Ref(a)}},
+		{expr.NewCoalesce([]expr.Expr{expr.Lit(types.Int(7)), expr.Ref(a)}),
 			[]types.Value{types.Int(7), types.Int(7), types.Int(7), types.Int(7)}},
 		// NULL-bearing first argument: later args fill the holes only.
-		{&expr.Coalesce{Args: []expr.Expr{expr.Ref(a), expr.Ref(c), expr.Lit(types.Int(9))}},
+		{expr.NewCoalesce([]expr.Expr{expr.Ref(a), expr.Ref(c), expr.Lit(types.Int(9))}),
 			[]types.Value{types.Int(1), types.Int(-2), types.Int(3), types.Int(9)}},
 		// NULL in every argument stays NULL.
-		{&expr.Coalesce{Args: []expr.Expr{expr.Ref(a), expr.Ref(c)}},
+		{expr.NewCoalesce([]expr.Expr{expr.Ref(a), expr.Ref(c)}),
 			[]types.Value{types.Int(1), types.Int(-2), types.Int(3), null}},
 	}
 	for _, tc := range cases {

@@ -35,19 +35,19 @@ func TestCompileMatchesInterpreter(t *testing.T) {
 		expr.NewBinary(expr.OpNe, expr.Ref(s), expr.Lit(types.String("x"))),
 		expr.NewBinary(expr.OpAnd, expr.Ref(b), expr.TrueExpr()),
 		expr.NewBinary(expr.OpOr, expr.Ref(b), expr.FalseExpr()),
-		&expr.Not{E: expr.Ref(b)},
-		&expr.IsNull{E: expr.Ref(a)},
-		&expr.IsNull{E: expr.Ref(a), Neg: true},
-		&expr.InList{E: expr.Ref(a), List: []expr.Expr{expr.Lit(types.Int(1)), expr.Lit(types.Int(7))}},
-		&expr.InList{E: expr.Ref(a), List: []expr.Expr{expr.Lit(types.Int(1)), expr.Lit(types.NullOf(types.KindInt64))}, Neg: true},
-		&expr.Like{E: expr.Ref(s), Pattern: "he%o"},
-		&expr.Coalesce{Args: []expr.Expr{expr.Ref(a), expr.Lit(types.Int(9))}},
-		&expr.Case{Whens: []expr.When{
+		expr.NewNot(expr.Ref(b)),
+		expr.NewIsNull(expr.Ref(a), false),
+		expr.NewIsNull(expr.Ref(a), true),
+		expr.NewInList(expr.Ref(a), []expr.Expr{expr.Lit(types.Int(1)), expr.Lit(types.Int(7))}, false),
+		expr.NewInList(expr.Ref(a), []expr.Expr{expr.Lit(types.Int(1)), expr.Lit(types.NullOf(types.KindInt64))}, true),
+		expr.NewLike(expr.Ref(s), "he%o"),
+		expr.NewCoalesce([]expr.Expr{expr.Ref(a), expr.Lit(types.Int(9))}),
+		expr.NewCase([]expr.When{
 			{Cond: expr.NewBinary(expr.OpGt, expr.Ref(a), expr.Lit(types.Int(0))), Then: expr.Lit(types.String("pos"))},
-		}, Else: expr.Lit(types.String("neg"))},
-		&expr.Case{Whens: []expr.When{
+		}, expr.Lit(types.String("neg"))),
+		expr.NewCase([]expr.When{
 			{Cond: expr.Ref(b), Then: expr.Ref(a)},
-		}},
+		}, nil),
 	}
 	rows := []Row{
 		{types.Int(7), types.String("hello"), types.Bool(true)},

@@ -195,6 +195,14 @@ type Metrics struct {
 	Skip SkipMetrics
 	// Elapsed is the wall-clock execution time.
 	Elapsed time.Duration
+	// Planning times the phases that built the plan (set by the engine;
+	// every run of one prepared plan reports the planning it was built by).
+	Planning PlanningMetrics
+}
+
+// PlanningMetrics times a query's planning phases.
+type PlanningMetrics struct {
+	Parse, Bind, Optimize time.Duration
 }
 
 // SharedExecMetrics counts cross-query shared-execution activity for one

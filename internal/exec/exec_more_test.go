@@ -109,7 +109,7 @@ func TestSortNullsLastAscending(t *testing.T) {
 	lj := &logical.Join{Kind: logical.LeftJoin, Left: s, Right: empty,
 		Cond: expr.Eq(expr.Ref(s.ColumnFor("i_item")), expr.Ref(empty.Schema()[0]))}
 	proj := &logical.Project{Input: lj, Cols: []logical.Assignment{
-		logical.Assign("v", &expr.Coalesce{Args: []expr.Expr{expr.Ref(lj.Schema()[2]), expr.Ref(s.ColumnFor("i_item"))}}),
+		logical.Assign("v", expr.NewCoalesce([]expr.Expr{expr.Ref(lj.Schema()[2]), expr.Ref(s.ColumnFor("i_item"))})),
 		logical.Assign("n", expr.Ref(lj.Schema()[3])), // always NULL
 	}}
 	sorted := &logical.Sort{Input: proj, Keys: []logical.SortKey{

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/expr"
@@ -8,7 +9,7 @@ import (
 )
 
 // familyFactorings counts maskFamilySpec constructions (the conjunct
-// flattening, canonicalization and prefix/residual factoring analysis);
+// flattening, deduplication and prefix/residual factoring analysis);
 // familyInstantiations counts per-goroutine instantiations (closure
 // compilation plus scratch). Parallel sinks share one spec across all
 // their workers, so factorings must stay independent of Parallelism —
@@ -99,10 +100,10 @@ type maskFamily struct {
 }
 
 // maskFamilySpec is the goroutine-shareable half of a mask family: the
-// conjunct flattening, canonicalization, and prefix/residual factoring over
+// conjunct flattening, deduplication, and prefix/residual factoring over
 // one input layout. A parallel sink builds the spec once and every worker
-// instantiates it, so the O(masks × conjuncts) analysis (and its Canonical
-// string rendering) is not repeated per worker. The spec is immutable after
+// instantiates it, so the O(masks × conjuncts) analysis is not repeated
+// per worker. The spec is immutable after
 // construction; instantiate() compiles the bitmap closures — which own
 // scratch and are goroutine-bound — into a fresh maskFamily per caller.
 type maskFamilySpec struct {
@@ -116,56 +117,59 @@ type maskFamilySpec struct {
 	residShare  []int
 }
 
-// newMaskFamilySpec factors a set of masks over one input layout. Masks
-// should be canonical (expr.Canonical) so that shared conjuncts dedup by
-// their rendered form; filterIter passes raw predicates, which only costs
-// missed sharing, never correctness.
+// newMaskFamilySpec factors a set of masks over one input layout. Shared
+// conjuncts dedup by canonical identity (expr.Key, confirmed by
+// expr.Equivalent), so `a = b` in one mask matches `b = a` in another.
 func newMaskFamilySpec(masks []expr.Expr, layout map[expr.ColumnID]int) *maskFamilySpec {
 	familyFactorings.Add(1)
 	type conjunct struct {
 		e       expr.Expr
 		inMasks int
 	}
-	var order []string
-	byKey := make(map[string]*conjunct)
-	maskKeys := make([][]string, len(masks))
+	var conjs []conjunct
+	byKey := make(map[uint64][]int)
+	maskConjs := make([][]int, len(masks))
 	for mi, m := range masks {
-		seen := make(map[string]bool)
 		for _, c := range expr.Conjuncts(m) {
-			key := expr.Canonical(c).String()
-			if seen[key] {
+			key := expr.Key(c)
+			ci := -1
+			for _, i := range byKey[key] {
+				if expr.Equivalent(conjs[i].e, c) {
+					ci = i
+					break
+				}
+			}
+			if ci < 0 {
+				ci = len(conjs)
+				conjs = append(conjs, conjunct{e: c})
+				byKey[key] = append(byKey[key], ci)
+			}
+			if slices.Contains(maskConjs[mi], ci) {
 				continue
 			}
-			seen[key] = true
-			cj := byKey[key]
-			if cj == nil {
-				cj = &conjunct{e: c}
-				byKey[key] = cj
-				order = append(order, key)
-			}
-			cj.inMasks++
-			maskKeys[mi] = append(maskKeys[mi], key)
+			conjs[ci].inMasks++
+			maskConjs[mi] = append(maskConjs[mi], ci)
 		}
 	}
 	sp := &maskFamilySpec{nMasks: len(masks), layout: layout}
-	residIdx := make(map[string]int)
-	for _, key := range order {
-		cj := byKey[key]
+	residIdx := make([]int, len(conjs))
+	for ci, cj := range conjs {
 		// A conjunct carried by every mask is prefix; note a mask with zero
 		// conjuncts (canonical TRUE) empties the prefix entirely, which is
 		// exactly right — nothing is shared by all.
 		if cj.inMasks == len(masks) {
+			residIdx[ci] = -1
 			sp.prefixExprs = append(sp.prefixExprs, cj.e)
 		} else {
-			residIdx[key] = len(sp.residExprs)
+			residIdx[ci] = len(sp.residExprs)
 			sp.residExprs = append(sp.residExprs, cj.e)
 		}
 	}
 	sp.maskResids = make([][]int, len(masks))
 	sp.residShare = make([]int, len(sp.residExprs))
-	for mi, keys := range maskKeys {
-		for _, key := range keys {
-			if ri, ok := residIdx[key]; ok {
+	for mi, cis := range maskConjs {
+		for _, ci := range cis {
+			if ri := residIdx[ci]; ri >= 0 {
 				sp.maskResids[mi] = append(sp.maskResids[mi], ri)
 				sp.residShare[ri]++
 			}

@@ -149,14 +149,14 @@ func TestMaskFamilyRandom(t *testing.T) {
 		expr.NewBinary(expr.OpLe, expr.Ref(c), expr.Lit(types.Int(70))),
 		expr.NewBinary(expr.OpLt, expr.Ref(d), expr.Lit(types.Float(50))),
 		expr.Ref(flag),
-		&expr.Not{E: expr.Ref(flag)},
+		expr.NewNot(expr.Ref(flag)),
 		expr.NewBinary(expr.OpEq, expr.Ref(a), expr.Ref(c)),
-		&expr.IsNull{E: expr.Ref(d)},
-		&expr.IsNull{E: expr.Ref(a), Neg: true},
+		expr.NewIsNull(expr.Ref(d), false),
+		expr.NewIsNull(expr.Ref(a), true),
 		expr.Or(
 			expr.NewBinary(expr.OpLt, expr.Ref(a), expr.Lit(types.Int(10))),
 			expr.NewBinary(expr.OpGt, expr.Ref(c), expr.Lit(types.Int(90)))),
-		&expr.InList{E: expr.Ref(a), List: []expr.Expr{expr.Lit(types.Int(3)), expr.Lit(types.Int(33))}},
+		expr.NewInList(expr.Ref(a), []expr.Expr{expr.Lit(types.Int(3)), expr.Lit(types.Int(33))}, false),
 	}
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 60; trial++ {
@@ -236,24 +236,24 @@ func TestBitmapCompilerMatchesValueCompiler(t *testing.T) {
 		expr.Lit(types.Bool(false)),
 		expr.Lit(types.NullOf(types.KindBool)),
 		expr.Ref(flag),
-		&expr.Not{E: expr.Ref(flag)},
-		&expr.Not{E: &expr.Not{E: expr.Ref(flag)}},
-		&expr.IsNull{E: expr.Ref(a)},
-		&expr.IsNull{E: expr.Ref(a), Neg: true},
-		&expr.IsNull{E: expr.NewBinary(expr.OpAdd, expr.Ref(a), expr.Ref(c))}, // non-column inner: fallback
+		expr.NewNot(expr.Ref(flag)),
+		expr.NewNot(expr.NewNot(expr.Ref(flag))),
+		expr.NewIsNull(expr.Ref(a), false),
+		expr.NewIsNull(expr.Ref(a), true),
+		expr.NewIsNull(expr.NewBinary(expr.OpAdd, expr.Ref(a), expr.Ref(c)), false), // non-column inner: fallback
 		expr.NewBinary(expr.OpGt, expr.Ref(a), expr.Lit(types.Int(30))),
 		expr.NewBinary(expr.OpGt, expr.Lit(types.Int(30)), expr.Ref(a)), // literal-first
 		expr.NewBinary(expr.OpEq, expr.Ref(a), expr.Lit(types.NullOf(types.KindInt64))),
 		expr.NewBinary(expr.OpLe, expr.Ref(a), expr.Ref(c)),
 		expr.NewBinary(expr.OpLt, expr.NewBinary(expr.OpAdd, expr.Ref(a), expr.Ref(c)), expr.Lit(types.Int(80))), // generic cmp
 		expr.And(expr.Ref(flag), expr.NewBinary(expr.OpGt, expr.Ref(a), expr.Lit(types.Int(10)))),
-		expr.Or(expr.Ref(flag), &expr.IsNull{E: expr.Ref(d)}),
+		expr.Or(expr.Ref(flag), expr.NewIsNull(expr.Ref(d), false)),
 		expr.And(
 			expr.Or(expr.Ref(flag), expr.NewBinary(expr.OpLt, expr.Ref(c), expr.Lit(types.Int(40)))),
-			&expr.Not{E: &expr.IsNull{E: expr.Ref(a)}},
+			expr.NewNot(expr.NewIsNull(expr.Ref(a), false)),
 			expr.NewBinary(expr.OpNe, expr.Ref(a), expr.Ref(c))),
-		&expr.InList{E: expr.Ref(a), List: []expr.Expr{expr.Lit(types.Int(5)), expr.Lit(types.Int(50))}}, // fallback
-		&expr.Like{E: expr.Lit(types.String("hello")), Pattern: "he%"},                                   // fallback, constant
+		expr.NewInList(expr.Ref(a), []expr.Expr{expr.Lit(types.Int(5)), expr.Lit(types.Int(50))}, false), // fallback
+		expr.NewLike(expr.Lit(types.String("hello")), "he%"),                                             // fallback, constant
 	}
 	rng := rand.New(rand.NewSource(23))
 	batches := []*vec.Batch{

@@ -21,13 +21,14 @@ import (
 // of once per member per run.
 //
 // The fingerprint must be stable across independently bound plans, whose
-// column IDs are fresh per query. It therefore renders only bind-stable
-// parts: the table name, the scanned column names, and the peeled prune
-// predicate with its partition-column reference rewritten to one fixed
-// canonical column before expr.Canonical normalization. Two plans with
-// equal fingerprints scan the same table and columns under structurally
-// identical pruning, so their Storage charge and pruned row count are
-// equal by construction. Stage counts are NOT cached — they are cheap to
+// column IDs are fresh per query. It therefore keys only bind-stable
+// parts: the table name, the scanned column names, and the canonical key
+// (expr.Key) of the peeled prune predicate with its partition-column
+// reference rewritten to one fixed column. An entry keeps that rewritten
+// predicate, and a hit must be expr.Equivalent to it, so two plans share
+// an entry only when they scan the same table and columns under equivalent
+// pruning; their Storage charge and pruned row count are then equal by
+// construction. Stage counts are NOT cached — they are cheap to
 // recompute and belong to the individual plan.
 //
 // The cache holds one epoch's entries: only the newest epoch can ever hit
@@ -38,19 +39,25 @@ import (
 type ShapeCache struct {
 	mu      sync.Mutex
 	epoch   int64
-	entries map[string]shapeEntry
+	entries map[shapeKey]shapeEntry
 	hits    atomic.Int64
 	misses  atomic.Int64
 }
 
+type shapeKey struct {
+	scan string // table and scanned column names
+	cond uint64 // expr.Key of the rewritten prune predicate
+}
+
 type shapeEntry struct {
+	cond       expr.Expr // the rewritten prune predicate; nil for none
 	storage    storage.Metrics
 	prunedRows int64
 }
 
 // NewShapeCache creates an empty cache.
 func NewShapeCache() *ShapeCache {
-	return &ShapeCache{entries: make(map[string]shapeEntry)}
+	return &ShapeCache{entries: make(map[shapeKey]shapeEntry)}
 }
 
 // Hits and Misses report cache effectiveness (for tests and benchmarks).
@@ -66,26 +73,24 @@ func (c *ShapeCache) Len() int {
 
 // shapeFPCol is the canonical stand-in for a chain's partition column in
 // fingerprints: remapping every plan's (fresh-ID) partition column onto it
-// makes structurally identical prune predicates render identically.
+// makes equivalent prune predicates of different plans Equivalent.
 var shapeFPCol = expr.NewColumn("$shapefp", types.KindUnknown)
 
-// chainFingerprint renders the bind-stable identity of a chain's pruning
-// work. ok=false means the chain cannot be fingerprinted (never happens for
+// chainFingerprint returns the bind-stable identity of a chain's pruning
+// work: its key and the rewritten prune predicate a hit must match.
+// ok=false means the chain cannot be fingerprinted (never happens for
 // compileChain output, but kept as a guard).
-func chainFingerprint(cs *chainSpec) (string, bool) {
-	var b strings.Builder
-	b.WriteString(cs.scan.Table.Name)
-	b.WriteByte('|')
-	b.WriteString(strings.Join(cs.scan.ColNames, ","))
-	b.WriteByte('|')
-	if cs.pruneCond != nil {
-		if cs.pruneCol == nil {
-			return "", false
-		}
-		m := expr.Mapping{cs.pruneCol.ID: shapeFPCol}
-		b.WriteString(expr.Canonical(m.Apply(cs.pruneCond)).String())
+func chainFingerprint(cs *chainSpec) (shapeKey, expr.Expr, bool) {
+	k := shapeKey{scan: cs.scan.Table.Name + "|" + strings.Join(cs.scan.ColNames, ",")}
+	if cs.pruneCond == nil {
+		return k, nil, true
 	}
-	return b.String(), true
+	if cs.pruneCol == nil {
+		return shapeKey{}, nil, false
+	}
+	cond := expr.Mapping{cs.pruneCol.ID: shapeFPCol}.Apply(cs.pruneCond)
+	k.cond = expr.Key(cond)
+	return k, cond, true
 }
 
 // AnalyzeChain is exec.AnalyzeChain through the cache: recognition and
@@ -106,7 +111,7 @@ func (c *ShapeCache) AnalyzeChain(root logical.Operator, snap *storage.Snapshot)
 	}
 	// A snapshot's epoch names exactly the partition sets it walks, so an
 	// entry never holds data from another epoch.
-	fp, fpOK := chainFingerprint(cs)
+	fp, cond, fpOK := chainFingerprint(cs)
 	epoch := snap.Epoch()
 	if fpOK {
 		c.mu.Lock()
@@ -115,7 +120,7 @@ func (c *ShapeCache) AnalyzeChain(root logical.Operator, snap *storage.Snapshot)
 			clear(c.entries)
 		}
 		e, hit := c.entries[fp]
-		if epoch != c.epoch {
+		if epoch != c.epoch || !expr.Equivalent(e.cond, cond) {
 			hit = false
 		}
 		c.mu.Unlock()
@@ -137,7 +142,7 @@ func (c *ShapeCache) AnalyzeChain(root logical.Operator, snap *storage.Snapshot)
 	if fpOK {
 		c.mu.Lock()
 		if epoch == c.epoch {
-			c.entries[fp] = shapeEntry{storage: sh.Storage, prunedRows: sh.PrunedRows}
+			c.entries[fp] = shapeEntry{cond: cond, storage: sh.Storage, prunedRows: sh.PrunedRows}
 		}
 		c.mu.Unlock()
 	}

@@ -168,11 +168,11 @@ func TestSkipAllNullChunk(t *testing.T) {
 	}), true)
 	// f_s IS NULL prunes every no-NULL partition, keeps the all-NULL one.
 	runSkipDiff(t, st, factPlan(t, st, func(s *logical.Scan) expr.Expr {
-		return &expr.IsNull{E: expr.Ref(s.ColumnFor("f_s"))}
+		return expr.NewIsNull(expr.Ref(s.ColumnFor("f_s")), false)
 	}), true)
 	// f_s IS NOT NULL prunes exactly the all-NULL partition.
 	runSkipDiff(t, st, factPlan(t, st, func(s *logical.Scan) expr.Expr {
-		return &expr.IsNull{E: expr.Ref(s.ColumnFor("f_s")), Neg: true}
+		return expr.NewIsNull(expr.Ref(s.ColumnFor("f_s")), true)
 	}), true)
 }
 
@@ -216,9 +216,9 @@ func TestSkipInList(t *testing.T) {
 	st := skipFixture(t, []int64{1})
 	// Every listed value misses partitions 0, 1 and 3.
 	runSkipDiff(t, st, factPlan(t, st, func(s *logical.Scan) expr.Expr {
-		return &expr.InList{E: expr.Ref(s.ColumnFor("f_v")), List: []expr.Expr{
+		return expr.NewInList(expr.Ref(s.ColumnFor("f_v")), []expr.Expr{
 			expr.Lit(types.Int(205)), expr.Lit(types.Int(210)), expr.Lit(types.NullOf(types.KindInt64)),
-		}}
+		}, false)
 	}), true)
 }
 

@@ -229,17 +229,7 @@ func likeMatch(s, p string) bool {
 }
 
 // IsConstant reports whether the expression references no columns.
-func IsConstant(e Expr) bool {
-	constant := true
-	Walk(e, func(x Expr) bool {
-		if _, ok := x.(*ColumnRef); ok {
-			constant = false
-			return false
-		}
-		return constant
-	})
-	return constant
-}
+func IsConstant(e Expr) bool { return e == nil || !e.meta().hasCol }
 
 // EvalConst evaluates a constant expression; ok is false if the expression
 // references columns.

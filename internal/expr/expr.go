@@ -42,8 +42,11 @@ func NewColumn(name string, t types.Kind) *Column {
 // String renders the column as name#id for unambiguous plan output.
 func (c *Column) String() string { return c.Name + "#" + strconv.Itoa(int(c.ID)) }
 
-// Expr is a scalar expression tree node. Implementations are immutable;
-// rewrites build new nodes.
+// Expr is a scalar expression tree node. Nodes are immutable: every field,
+// including the identity a constructor computes (see info), is fixed when
+// the node is built, so plans can be shared across goroutines. Build nodes
+// only through this package's constructors (Ref, Lit, NewBinary, NewNot,
+// NewIsNull, NewCase, NewInList, NewLike, NewCoalesce) or WithChildren.
 type Expr interface {
 	// Type returns the result kind of the expression.
 	Type() types.Kind
@@ -54,15 +57,22 @@ type Expr interface {
 	WithChildren(ch []Expr) Expr
 	// String renders the expression for plan output.
 	String() string
+
+	meta() *info
 }
 
 // ColumnRef references a column instance.
 type ColumnRef struct {
 	Col *Column
+	info
 }
 
 // Ref is shorthand for constructing a ColumnRef.
-func Ref(c *Column) *ColumnRef { return &ColumnRef{Col: c} }
+func Ref(c *Column) *ColumnRef {
+	e := &ColumnRef{Col: c}
+	e.info = leafInfo(mix(tagColumn, uint64(uint32(c.ID))), true)
+	return e
+}
 
 func (e *ColumnRef) Type() types.Kind         { return e.Col.Type }
 func (e *ColumnRef) Children() []Expr         { return nil }
@@ -72,10 +82,15 @@ func (e *ColumnRef) String() string           { return e.Col.String() }
 // Literal is a constant value.
 type Literal struct {
 	Val types.Value
+	info
 }
 
 // Lit constructs a literal.
-func Lit(v types.Value) *Literal { return &Literal{Val: v} }
+func Lit(v types.Value) *Literal {
+	e := &Literal{Val: v}
+	e.info = leafInfo(valueHash(v), false)
+	return e
+}
 
 // TrueExpr and FalseExpr are the canonical boolean literals.
 func TrueExpr() Expr  { return Lit(types.Bool(true)) }
@@ -127,18 +142,43 @@ func (op BinOp) IsComparison() bool { return op >= OpEq && op <= OpGe }
 // IsArithmetic reports whether the operator is arithmetic.
 func (op BinOp) IsArithmetic() bool { return op <= OpDiv }
 
-// Binary is a binary operation node. memo caches the rendered form:
-// expression nodes are immutable and built per query, and the optimizer
-// renders large fused conditions repeatedly (normalization, equivalence,
-// dedup), so caching turns those passes from quadratic to linear.
+// commutative reports whether the operands may be swapped; the canonical
+// form orders them.
+func (op BinOp) commutative() bool {
+	return op == OpEq || op == OpNe || op == OpAdd || op == OpMul
+}
+
+// Binary is a binary operation node. AND and OR nodes also carry chain,
+// the multiset hash of the conjuncts (disjuncts) their canonical form
+// sorts.
 type Binary struct {
 	Op   BinOp
 	L, R Expr
-	memo string
+	info
+	chain uint64
 }
 
 // NewBinary constructs a binary node.
-func NewBinary(op BinOp, l, r Expr) *Binary { return &Binary{Op: op, L: l, R: r} }
+func NewBinary(op BinOp, l, r Expr) *Binary {
+	e := &Binary{Op: op, L: l, R: r}
+	lm, rm := l.meta(), r.meta()
+	e.hash = mix(mix(tagBinary+uint64(op), lm.hash), rm.hash)
+	e.hasCol, e.built = lm.hasCol || rm.hasCol, true
+	switch {
+	case op == OpAnd || op == OpOr:
+		e.chain = chainHash(op, l) + chainHash(op, r)
+		e.norm = mix(tagChain+uint64(op), e.chain)
+		initChain(e)
+	default:
+		ln, rn := lm.norm, rm.norm
+		if op.commutative() && ln > rn {
+			ln, rn = rn, ln
+		}
+		e.norm = mix(mix(tagBinary+uint64(op), ln), rn)
+		e.simp = simplifyBinary(e)
+	}
+	return e
+}
 
 // Eq builds l = r.
 func Eq(l, r Expr) Expr { return NewBinary(OpEq, l, r) }
@@ -152,40 +192,55 @@ func (e *Binary) Type() types.Kind {
 	}
 	return types.KindBool
 }
-func (e *Binary) Children() []Expr { return []Expr{e.L, e.R} }
-func (e *Binary) WithChildren(ch []Expr) Expr {
-	return &Binary{Op: e.Op, L: ch[0], R: ch[1]}
-}
-func (e *Binary) String() string {
-	if e.memo == "" {
-		e.memo = render(e)
-	}
-	return e.memo
-}
+func (e *Binary) Children() []Expr            { return []Expr{e.L, e.R} }
+func (e *Binary) WithChildren(ch []Expr) Expr { return NewBinary(e.Op, ch[0], ch[1]) }
+func (e *Binary) String() string              { return render(e) }
 
 // Not is logical negation.
 type Not struct {
 	E Expr
+	info
+}
+
+// NewNot builds NOT e.
+func NewNot(e Expr) *Not {
+	n := &Not{E: e}
+	n.info = unaryInfo(tagNot, e)
+	n.simp = simplifyNot(n)
+	return n
 }
 
 func (e *Not) Type() types.Kind            { return types.KindBool }
 func (e *Not) Children() []Expr            { return []Expr{e.E} }
-func (e *Not) WithChildren(ch []Expr) Expr { return &Not{E: ch[0]} }
+func (e *Not) WithChildren(ch []Expr) Expr { return NewNot(ch[0]) }
 func (e *Not) String() string              { return render(e) }
 
 // IsNull tests for NULL (or NOT NULL when Neg is set).
 type IsNull struct {
 	E   Expr
 	Neg bool
+	info
+}
+
+// NewIsNull builds e IS NULL, or e IS NOT NULL when neg is set.
+func NewIsNull(e Expr, neg bool) *IsNull {
+	n := &IsNull{E: e, Neg: neg}
+	tag := uint64(tagIsNull)
+	if neg {
+		tag++
+	}
+	n.info = unaryInfo(tag, e)
+	n.simp = simplifyIsNull(n)
+	return n
 }
 
 func (e *IsNull) Type() types.Kind            { return types.KindBool }
 func (e *IsNull) Children() []Expr            { return []Expr{e.E} }
-func (e *IsNull) WithChildren(ch []Expr) Expr { return &IsNull{E: ch[0], Neg: e.Neg} }
+func (e *IsNull) WithChildren(ch []Expr) Expr { return NewIsNull(ch[0], e.Neg) }
 func (e *IsNull) String() string              { return render(e) }
 
 // NotNull builds e IS NOT NULL.
-func NotNull(e Expr) Expr { return &IsNull{E: e, Neg: true} }
+func NotNull(e Expr) Expr { return NewIsNull(e, true) }
 
 // When is one WHEN...THEN arm of a CASE expression.
 type When struct {
@@ -194,10 +249,20 @@ type When struct {
 }
 
 // Case is a searched CASE expression (the binder desugars the simple form).
+// Whens must not be modified after NewCase.
 type Case struct {
 	Whens []When
 	Else  Expr // nil means ELSE NULL
-	memo  string
+	info
+}
+
+// NewCase builds CASE whens ELSE els END; els == nil means ELSE NULL. The
+// node takes ownership of whens.
+func NewCase(whens []When, els Expr) *Case {
+	n := &Case{Whens: whens, Else: els}
+	n.info = naryInfo(tagCase, n.Children())
+	n.simp = simplifyCase(n)
+	return n
 }
 
 func (e *Case) Type() types.Kind {
@@ -218,21 +283,17 @@ func (e *Case) Children() []Expr {
 	return ch
 }
 func (e *Case) WithChildren(ch []Expr) Expr {
-	n := &Case{Whens: make([]When, len(e.Whens))}
+	whens := make([]When, len(e.Whens))
 	for i := range e.Whens {
-		n.Whens[i] = When{Cond: ch[2*i], Then: ch[2*i+1]}
+		whens[i] = When{Cond: ch[2*i], Then: ch[2*i+1]}
 	}
+	var els Expr
 	if e.Else != nil {
-		n.Else = ch[len(ch)-1]
+		els = ch[len(ch)-1]
 	}
-	return n
+	return NewCase(whens, els)
 }
-func (e *Case) String() string {
-	if e.memo == "" {
-		e.memo = render(e)
-	}
-	return e.memo
-}
+func (e *Case) String() string { return render(e) }
 
 // InList tests membership in a literal list (IN subqueries are planned as
 // semi-joins by the binder and never reach this node).
@@ -240,6 +301,20 @@ type InList struct {
 	E    Expr
 	List []Expr
 	Neg  bool
+	info
+}
+
+// NewInList builds e IN (list), or e NOT IN (list) when neg is set. The node
+// takes ownership of list.
+func NewInList(e Expr, list []Expr, neg bool) *InList {
+	n := &InList{E: e, List: list, Neg: neg}
+	tag := uint64(tagInList)
+	if neg {
+		tag++
+	}
+	n.info = naryInfo(tag, n.Children())
+	n.simp = simplifyGeneric(n)
+	return n
 }
 
 func (e *InList) Type() types.Kind { return types.KindBool }
@@ -249,30 +324,46 @@ func (e *InList) Children() []Expr {
 	ch = append(ch, e.List...)
 	return ch
 }
-func (e *InList) WithChildren(ch []Expr) Expr {
-	return &InList{E: ch[0], List: ch[1:], Neg: e.Neg}
-}
-func (e *InList) String() string { return render(e) }
+func (e *InList) WithChildren(ch []Expr) Expr { return NewInList(ch[0], ch[1:], e.Neg) }
+func (e *InList) String() string              { return render(e) }
 
 // Like is a SQL LIKE pattern match with % and _ wildcards.
 type Like struct {
 	E       Expr
 	Pattern string
+	info
+}
+
+// NewLike builds e LIKE pattern.
+func NewLike(e Expr, pattern string) *Like {
+	n := &Like{E: e, Pattern: pattern}
+	n.info = unaryInfo(mix(tagLike, stringHash(pattern)), e)
+	n.simp = simplifyGeneric(n)
+	return n
 }
 
 func (e *Like) Type() types.Kind            { return types.KindBool }
 func (e *Like) Children() []Expr            { return []Expr{e.E} }
-func (e *Like) WithChildren(ch []Expr) Expr { return &Like{E: ch[0], Pattern: e.Pattern} }
+func (e *Like) WithChildren(ch []Expr) Expr { return NewLike(ch[0], e.Pattern) }
 func (e *Like) String() string              { return render(e) }
 
 // Coalesce returns the first non-NULL argument.
 type Coalesce struct {
 	Args []Expr
+	info
+}
+
+// NewCoalesce builds COALESCE(args...). The node takes ownership of args.
+func NewCoalesce(args []Expr) *Coalesce {
+	n := &Coalesce{Args: args}
+	n.info = naryInfo(tagCoalesce, args)
+	n.simp = simplifyGeneric(n)
+	return n
 }
 
 func (e *Coalesce) Type() types.Kind            { return e.Args[0].Type() }
 func (e *Coalesce) Children() []Expr            { return e.Args }
-func (e *Coalesce) WithChildren(ch []Expr) Expr { return &Coalesce{Args: ch} }
+func (e *Coalesce) WithChildren(ch []Expr) Expr { return NewCoalesce(ch) }
 func (e *Coalesce) String() string              { return render(e) }
 
 // AggFunc enumerates aggregate functions.
@@ -344,9 +435,7 @@ func (a AggCall) String() string {
 }
 
 // render is the shared fmt-free renderer behind every String method; the
-// recursive write avoids per-node Sprintf allocations, which otherwise
-// dominate optimization-time profiles (plan signatures, normalization and
-// equivalence checks all render expressions).
+// recursive write avoids per-node Sprintf allocations.
 func render(e Expr) string {
 	var b strings.Builder
 	write(&b, e)

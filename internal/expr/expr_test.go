@@ -119,13 +119,10 @@ func TestEvalKleeneLogic(t *testing.T) {
 
 func TestEvalCase(t *testing.T) {
 	a := col("a", types.KindInt64)
-	e := &Case{
-		Whens: []When{
-			{Cond: NewBinary(OpGt, Ref(a), Lit(types.Int(10))), Then: Lit(types.String("big"))},
-			{Cond: NewBinary(OpGt, Ref(a), Lit(types.Int(0))), Then: Lit(types.String("small"))},
-		},
-		Else: Lit(types.String("neg")),
-	}
+	e := NewCase([]When{
+		{Cond: NewBinary(OpGt, Ref(a), Lit(types.Int(10))), Then: Lit(types.String("big"))},
+		{Cond: NewBinary(OpGt, Ref(a), Lit(types.Int(0))), Then: Lit(types.String("small"))},
+	}, Lit(types.String("neg")))
 	if got := Eval(e, mapEnv{a.ID: types.Int(20)}); got.S != "big" {
 		t.Errorf("CASE(20) = %v", got)
 	}
@@ -135,7 +132,7 @@ func TestEvalCase(t *testing.T) {
 	if got := Eval(e, mapEnv{a.ID: types.Int(-5)}); got.S != "neg" {
 		t.Errorf("CASE(-5) = %v", got)
 	}
-	noElse := &Case{Whens: e.Whens[:1]}
+	noElse := NewCase(e.Whens[:1], nil)
 	if got := Eval(noElse, mapEnv{a.ID: types.Int(-5)}); !got.Null {
 		t.Errorf("CASE without match should be NULL, got %v", got)
 	}
@@ -143,7 +140,7 @@ func TestEvalCase(t *testing.T) {
 
 func TestEvalInList(t *testing.T) {
 	a := col("a", types.KindString)
-	e := &InList{E: Ref(a), List: []Expr{Lit(types.String("m")), Lit(types.String("l"))}}
+	e := NewInList(Ref(a), []Expr{Lit(types.String("m")), Lit(types.String("l"))}, false)
 	if got := Eval(e, mapEnv{a.ID: types.String("m")}); !got.IsTrue() {
 		t.Error("'m' IN ('m','l') should be true")
 	}
@@ -154,7 +151,7 @@ func TestEvalInList(t *testing.T) {
 		t.Error("NULL IN (...) should be NULL")
 	}
 	// NOT IN with a NULL element and no match is NULL.
-	e2 := &InList{E: Ref(a), List: []Expr{Lit(types.String("m")), Lit(types.NullOf(types.KindString))}, Neg: true}
+	e2 := NewInList(Ref(a), []Expr{Lit(types.String("m")), Lit(types.NullOf(types.KindString))}, true)
 	if got := Eval(e2, mapEnv{a.ID: types.String("x")}); !got.Null {
 		t.Errorf("'x' NOT IN ('m', NULL) = %v, want NULL", got)
 	}
@@ -176,7 +173,7 @@ func TestEvalLike(t *testing.T) {
 		{"abc", "_", false},
 	}
 	for _, c := range cases {
-		e := &Like{E: Ref(a), Pattern: c.p}
+		e := NewLike(Ref(a), c.p)
 		if got := Eval(e, mapEnv{a.ID: types.String(c.s)}); got.AsBool() != c.want {
 			t.Errorf("%q LIKE %q = %v, want %v", c.s, c.p, got.AsBool(), c.want)
 		}
@@ -185,7 +182,7 @@ func TestEvalLike(t *testing.T) {
 
 func TestEvalCoalesce(t *testing.T) {
 	a := col("a", types.KindInt64)
-	e := &Coalesce{Args: []Expr{Ref(a), Lit(types.Int(7))}}
+	e := NewCoalesce([]Expr{Ref(a), Lit(types.Int(7))})
 	if got := Eval(e, mapEnv{a.ID: types.NullOf(types.KindInt64)}); got.I != 7 {
 		t.Errorf("COALESCE(NULL, 7) = %v", got)
 	}
@@ -290,7 +287,7 @@ func TestSimplify(t *testing.T) {
 		{NewBinary(OpAnd, a, FalseExpr()), FalseExpr()},
 		{NewBinary(OpOr, a, TrueExpr()), TrueExpr()},
 		{NewBinary(OpOr, a, FalseExpr()), a},
-		{&Not{E: &Not{E: a}}, a},
+		{NewNot(NewNot(a)), a},
 		{NewBinary(OpAdd, Lit(types.Int(2)), Lit(types.Int(3))), Lit(types.Int(5))},
 		{NewBinary(OpAnd, a, a), a},
 	}
@@ -303,7 +300,7 @@ func TestSimplify(t *testing.T) {
 
 func TestSimplifyNotComparison(t *testing.T) {
 	a := col("a", types.KindInt64)
-	e := &Not{E: NewBinary(OpGt, Ref(a), Lit(types.Int(5)))}
+	e := NewNot(NewBinary(OpGt, Ref(a), Lit(types.Int(5))))
 	want := NewBinary(OpLe, Ref(a), Lit(types.Int(5)))
 	if got := Simplify(e); !Equal(got, want) {
 		t.Errorf("Simplify(NOT >) = %s, want %s", got, want)
@@ -312,10 +309,10 @@ func TestSimplifyNotComparison(t *testing.T) {
 
 func TestSimplifyCase(t *testing.T) {
 	a := Ref(col("a", types.KindInt64))
-	e := &Case{Whens: []When{
+	e := NewCase([]When{
 		{Cond: FalseExpr(), Then: Lit(types.Int(1))},
 		{Cond: TrueExpr(), Then: a},
-	}}
+	}, nil)
 	if got := Simplify(e); !Equal(got, a) {
 		t.Errorf("Simplify(CASE) = %s, want %s", got, a)
 	}

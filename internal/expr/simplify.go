@@ -13,213 +13,54 @@ import (
 // that compensating filters stay small (the paper relies on "orthogonal
 // rules … applicable to fused results", e.g. expression simplification over
 // masks).
+//
+// Each node's simplified form is computed once, by its constructor, from
+// its children's; Simplify only reads it, and returns e itself when e is
+// already simplified.
 func Simplify(e Expr) Expr {
 	if e == nil {
 		return nil
 	}
-	return simplifyRec(e)
-}
-
-// simplifyRec walks the tree but treats whole AND/OR chains as single
-// units: each chain is flattened, its parts simplified, and the chain
-// recombined exactly once. (A naive bottom-up rewrite would re-flatten and
-// re-deduplicate at every node of the chain — quadratic in the width of
-// the fused conditions the optimizer builds.)
-func simplifyRec(e Expr) Expr {
-	switch x := e.(type) {
-	case *Binary:
-		switch x.Op {
-		case OpAnd:
-			parts := Conjuncts(x)
-			out := make([]Expr, 0, len(parts))
-			for _, p := range parts {
-				// A part may itself simplify into a conjunction.
-				out = append(out, Conjuncts(simplifyRec(p))...)
-			}
-			return simplifyAnd(out)
-		case OpOr:
-			parts := Disjuncts(x)
-			out := make([]Expr, 0, len(parts))
-			for _, p := range parts {
-				out = append(out, Disjuncts(simplifyRec(p))...)
-			}
-			return simplifyOr(out)
-		}
-		l, r := simplifyRec(x.L), simplifyRec(x.R)
-		nx := x
-		if l != x.L || r != x.R {
-			nx = NewBinary(x.Op, l, r)
-		}
-		return simplifyBinary(nx)
-	case *Not:
-		inner := simplifyRec(x.E)
-		nx := x
-		if inner != x.E {
-			nx = &Not{E: inner}
-		}
-		return simplifyNot(nx)
-	case *IsNull:
-		inner := simplifyRec(x.E)
-		nx := x
-		if inner != x.E {
-			nx = &IsNull{E: inner, Neg: x.Neg}
-		}
-		if l, ok := nx.E.(*Literal); ok {
-			if nx.Neg {
-				return Lit(types.Bool(!l.Val.Null))
-			}
-			return Lit(types.Bool(l.Val.Null))
-		}
-		return nx
-	case *Case:
-		return simplifyCase(simplifyChildren(x).(*Case))
-	default:
-		return simplifyChildren(e)
-	}
-}
-
-// simplifyChildren recursively simplifies a node's children generically.
-func simplifyChildren(e Expr) Expr {
-	ch := e.Children()
-	if len(ch) == 0 {
-		return e
-	}
-	newCh := make([]Expr, len(ch))
-	changed := false
-	for i, c := range ch {
-		newCh[i] = simplifyRec(c)
-		if newCh[i] != c {
-			changed = true
-		}
-	}
-	if changed {
-		return e.WithChildren(newCh)
+	if s := e.meta().simp; s != nil {
+		return s
 	}
 	return e
 }
 
+// The simplify* functions below compute a new node's simplified form (nil
+// when the node is its own) from its children's. A rule rewrites the node
+// rebuilt over simplified children, and every rule either shrinks the tree
+// or yields a left-deep chain that is its own simplified form, so the
+// chain of simplified forms a constructor builds ends.
+
+// orSelf returns nil when s is x itself.
+func orSelf(x, s Expr) Expr {
+	if s == x {
+		return nil
+	}
+	return s
+}
+
 func simplifyBinary(x *Binary) Expr {
-	// Fold constant subtrees.
-	if IsConstant(x.L) && IsConstant(x.R) {
-		return Lit(Eval(x, nil))
+	l, r := Simplify(x.L), Simplify(x.R)
+	nx := x
+	if l != x.L || r != x.R {
+		nx = NewBinary(x.Op, l, r)
 	}
-	// x = x, x <= x etc. over identical column refs (safe only for
-	// comparisons that are reflexive; = on a NULL yields NULL, so we only
-	// fold when we cannot produce a wrong NULL → skip. Keep it simple and
-	// sound: no folding here.)
-	return x
-}
-
-func simplifyAnd(parts []Expr) Expr {
-	out := make([]Expr, 0, len(parts))
-	seen := make(map[string]bool, len(parts))
-	for _, p := range parts {
-		if IsTrueLiteral(p) {
-			continue
-		}
-		if IsFalseLiteral(p) {
-			return FalseExpr()
-		}
-		key := p.String()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, p)
+	// Fold constant subtrees. (x = x and friends are not folded: = on a
+	// NULL yields NULL.)
+	if !l.meta().hasCol && !r.meta().hasCol {
+		return Lit(Eval(nx, nil))
 	}
-	// x = x is TRUE for non-NULL x; drop it when an x IS NOT NULL conjunct
-	// guards the NULL case (the shape JoinOnKeys rewrites leave behind).
-	if len(out) > 1 {
-		notNull := map[ColumnID]bool{}
-		for _, p := range out {
-			if isn, ok := p.(*IsNull); ok && isn.Neg {
-				if ref, ok := isn.E.(*ColumnRef); ok {
-					notNull[ref.Col.ID] = true
-				}
-			}
-		}
-		if len(notNull) > 0 {
-			kept := out[:0]
-			for _, p := range out {
-				if b, ok := p.(*Binary); ok && b.Op == OpEq {
-					lr, ok1 := b.L.(*ColumnRef)
-					rr, ok2 := b.R.(*ColumnRef)
-					if ok1 && ok2 && lr.Col.ID == rr.Col.ID && notNull[lr.Col.ID] {
-						continue
-					}
-				}
-				kept = append(kept, p)
-			}
-			out = kept
-		}
-	}
-	// Absorption: A AND (A OR B) → A. Drop any disjunctive conjunct one of
-	// whose disjuncts already appears as a conjunct. This keeps the masks
-	// produced by incremental n-ary fusion linear instead of quadratic.
-	if len(out) > 1 {
-		kept := out[:0]
-		for _, p := range out {
-			disjuncts := Disjuncts(p)
-			absorbed := false
-			if len(disjuncts) > 1 {
-				for _, d := range disjuncts {
-					if seen[d.String()] && d.String() != p.String() {
-						absorbed = true
-						break
-					}
-				}
-			}
-			if !absorbed {
-				kept = append(kept, p)
-			}
-		}
-		out = kept
-	}
-	return And(out...)
-}
-
-func simplifyOr(parts []Expr) Expr {
-	out := make([]Expr, 0, len(parts))
-	seen := make(map[string]bool, len(parts))
-	for _, p := range parts {
-		if IsFalseLiteral(p) {
-			continue
-		}
-		if IsTrueLiteral(p) {
-			return TrueExpr()
-		}
-		key := p.String()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, p)
-	}
-	// Absorption: A OR (A AND B) → A.
-	if len(out) > 1 {
-		kept := out[:0]
-		for _, p := range out {
-			conjuncts := Conjuncts(p)
-			absorbed := false
-			if len(conjuncts) > 1 {
-				for _, c := range conjuncts {
-					if seen[c.String()] && c.String() != p.String() {
-						absorbed = true
-						break
-					}
-				}
-			}
-			if !absorbed {
-				kept = append(kept, p)
-			}
-		}
-		out = kept
-	}
-	return Or(out...)
+	return orSelf(x, nx)
 }
 
 func simplifyNot(x *Not) Expr {
-	switch inner := x.E.(type) {
+	nx := x
+	if inner := Simplify(x.E); inner != x.E {
+		nx = NewNot(inner)
+	}
+	switch inner := nx.E.(type) {
 	case *Literal:
 		if inner.Val.Null {
 			return Lit(types.NullOf(types.KindBool))
@@ -247,14 +88,26 @@ func simplifyNot(x *Not) Expr {
 			return NewBinary(neg, inner.L, inner.R)
 		}
 	}
-	return x
+	return orSelf(x, nx)
+}
+
+func simplifyIsNull(x *IsNull) Expr {
+	nx := x
+	if inner := Simplify(x.E); inner != x.E {
+		nx = NewIsNull(inner, x.Neg)
+	}
+	if l, ok := nx.E.(*Literal); ok {
+		return Lit(types.Bool(l.Val.Null != nx.Neg))
+	}
+	return orSelf(x, nx)
 }
 
 func simplifyCase(x *Case) Expr {
+	nx := mapChildren(x, Simplify).(*Case)
 	// Drop arms with constant-FALSE conditions; short-circuit on a leading
 	// constant-TRUE condition.
-	whens := make([]When, 0, len(x.Whens))
-	for _, w := range x.Whens {
+	whens := make([]When, 0, len(nx.Whens))
+	for _, w := range nx.Whens {
 		if IsFalseLiteral(w.Cond) {
 			continue
 		}
@@ -264,15 +117,334 @@ func simplifyCase(x *Case) Expr {
 		whens = append(whens, w)
 	}
 	if len(whens) == 0 {
-		if x.Else != nil {
-			return x.Else
+		if nx.Else != nil {
+			return nx.Else
 		}
-		return Lit(types.NullOf(x.Type()))
+		return Lit(types.NullOf(nx.Type()))
 	}
-	if len(whens) == len(x.Whens) {
-		return x
+	if len(whens) == len(nx.Whens) {
+		return orSelf(x, nx)
 	}
-	return &Case{Whens: whens, Else: x.Else}
+	return NewCase(whens, nx.Else)
+}
+
+func simplifyGeneric(x Expr) Expr { return orSelf(x, mapChildren(x, Simplify)) }
+
+// mapChildren rebuilds e over f of its children, or returns e when f
+// changes none.
+func mapChildren(e Expr, f func(Expr) Expr) Expr {
+	ch := e.Children()
+	var newCh []Expr
+	for i, c := range ch {
+		if n := f(c); n != c && newCh == nil {
+			newCh = make([]Expr, len(ch))
+			copy(newCh, ch[:i])
+			newCh[i] = n
+		} else if newCh != nil {
+			newCh[i] = n
+		}
+	}
+	if newCh == nil {
+		return e
+	}
+	return e.WithChildren(newCh)
+}
+
+// initChain sets a new AND (OR) node's simplified form, simplifying the
+// whole chain as one unit: it flattens the chain, takes the parts of each
+// part's simplified form, and deduplicates and absorbs across the flat
+// list. The chain is its own simplified form when that list is its parts,
+// left-deep, unchanged.
+func initChain(x *Binary) {
+	if done := appendToSimplified(x); done {
+		return
+	}
+	var buf [16]Expr
+	parts := simplifiedParts(buf[:0], x.Op, x)
+	out, short := reduceChain(x.Op, parts)
+	switch {
+	case short != nil:
+		x.simp = short
+	case isChainOf(x, out):
+	case x.Op == OpAnd:
+		x.simp = And(out...)
+	default:
+		x.simp = Or(out...)
+	}
+}
+
+// appendToSimplified is initChain for the way chains are built — one part
+// p appended to a chain L — asking a few questions of the parts of
+// Simplify(L), a chain that is its own simplified form, instead of
+// re-reducing the flat list: p is dropped (TRUE in an AND), short-circuits
+// (FALSE), duplicates a part, is guarded away (c = c beside c IS NOT NULL)
+// or absorbed, or is kept. That is what reduceChain computes, because L's
+// parts already passed it; the one difference, a c = c part L dropped
+// still absorbing a later part, is left to reduceChain, as are the rare
+// appends that would remove one of L's parts. It reports false for those
+// and for any other shape. Each question is one pass over L's parts, so
+// building an n-part chain costs O(n²) part comparisons (reduceChain on
+// every append would cost O(n³)).
+func appendToSimplified(x *Binary) bool {
+	l, isChain := x.L.(*Binary)
+	if !isChain || l.Op != x.Op {
+		return false
+	}
+	base, isChain := Simplify(l).(*Binary)
+	if !isChain || base.Op != x.Op || base.simp != nil {
+		return false
+	}
+	p := Simplify(x.R)
+	inner := innerOp(x.Op)
+	switch {
+	case dropped(x.Op, p):
+		x.simp = base
+		return true
+	case dropped(inner, p):
+		x.simp = Lit(types.Bool(x.Op == OpOr))
+		return true
+	}
+	if b, isBin := p.(*Binary); isBin && b.Op == x.Op {
+		return false // p adds several parts
+	}
+	var sub []Expr
+	var subBuf [8]Expr
+	if b, isBin := p.(*Binary); isBin && b.Op == inner {
+		sub = appendParts(subBuf[:0], inner, b)
+		if base != l {
+			for _, d := range sub {
+				if _, selfEq := selfEquality(d); selfEq {
+					return false
+				}
+			}
+		}
+	}
+	if chainHas(base, func(q Expr) bool { return Equal(q, p) }) {
+		x.simp = base // a duplicate
+		return true
+	}
+	if chainHas(base, func(q Expr) bool {
+		var buf [8]Expr
+		b, isBin := q.(*Binary)
+		return isBin && b.Op == inner && indexOf(appendParts(buf[:0], inner, b), p) >= 0
+	}) {
+		return false // p absorbs one of L's parts
+	}
+	removeP := false
+	if x.Op == OpAnd {
+		if id, ok := notNullGuard(p); ok && chainHas(base, func(q Expr) bool {
+			qid, selfEq := selfEquality(q)
+			return selfEq && qid == id
+		}) {
+			return false // p guards away one of L's parts
+		}
+		if id, ok := selfEquality(p); ok {
+			removeP = chainHas(base, func(q Expr) bool {
+				qid, guard := notNullGuard(q)
+				return guard && qid == id
+			})
+		}
+	}
+	for _, d := range sub {
+		if len(sub) > 1 && !removeP {
+			removeP = chainHas(base, func(q Expr) bool { return Equal(q, d) })
+		}
+	}
+	switch {
+	case removeP:
+		x.simp = base
+	case base == l && p == x.R: // x is its own simplified form
+	default:
+		x.simp = NewBinary(x.Op, base, p)
+	}
+	return true
+}
+
+// chainHas reports whether a part of the op-chain c satisfies match.
+func chainHas(c *Binary, match func(Expr) bool) bool {
+	for e := Expr(c); e != nil; {
+		q := e
+		if b, ok := e.(*Binary); ok && b.Op == c.Op {
+			q, e = b.R, b.L
+		} else {
+			e = nil
+		}
+		if match(q) {
+			return true
+		}
+	}
+	return false
+}
+
+// simplifiedParts appends the parts of Simplify(p) for every part p of the
+// op-chain e.
+func simplifiedParts(dst []Expr, op BinOp, e Expr) []Expr {
+	if b, ok := e.(*Binary); ok && b.Op == op {
+		return simplifiedParts(simplifiedParts(dst, op, b.L), op, b.R)
+	}
+	if dropped(op, e) {
+		return dst
+	}
+	return appendParts(dst, op, Simplify(e))
+}
+
+// appendParts appends the op-chain parts of e (Conjuncts or Disjuncts).
+func appendParts(dst []Expr, op BinOp, e Expr) []Expr {
+	if b, ok := e.(*Binary); ok && b.Op == op {
+		return appendParts(appendParts(dst, op, b.L), op, b.R)
+	}
+	if dropped(op, e) {
+		return dst
+	}
+	return append(dst, e)
+}
+
+// isChainOf reports whether x is exactly the left-deep chain And(parts...)
+// (Or) would build.
+func isChainOf(x *Binary, parts []Expr) bool {
+	var e Expr = x
+	for i := len(parts) - 1; i > 0; i-- {
+		b, ok := e.(*Binary)
+		if !ok || b.Op != x.Op || b.R != parts[i] {
+			return false
+		}
+		e = b.L
+	}
+	return len(parts) > 0 && e == parts[0]
+}
+
+// reduceChain simplifies the flat part list of an AND (OR) chain: it drops
+// TRUE (FALSE) parts and duplicates, and returns the absorbing FALSE (TRUE)
+// as short when a part is one. For AND it also drops x = x when an
+// x IS NOT NULL conjunct guards the NULL case (the shape JoinOnKeys
+// rewrites leave behind). Absorption then drops any part one of whose
+// sub-parts is also a part — A AND (A OR B) → A, A OR (A AND B) → A —
+// which keeps the masks incremental n-ary fusion builds linear instead of
+// quadratic.
+func reduceChain(op BinOp, parts []Expr) (out []Expr, short Expr) {
+	inner := innerOp(op)
+	// parts is filtered in place: uniq never outruns the loop index.
+	uniq := parts[:0]
+	for _, p := range parts {
+		if dropped(op, p) {
+			continue
+		}
+		if dropped(inner, p) { // FALSE in an AND, TRUE in an OR
+			return nil, Lit(types.Bool(op == OpOr))
+		}
+		if indexOf(uniq, p) < 0 {
+			uniq = append(uniq, p)
+		}
+	}
+	if len(uniq) <= 1 {
+		return uniq, nil
+	}
+	var drop []bool
+	mark := func(i int) {
+		if drop == nil {
+			drop = make([]bool, len(uniq))
+		}
+		drop[i] = true
+	}
+	kept := len(uniq)
+	if op == OpAnd {
+		var notNull []ColumnID
+		for _, p := range uniq {
+			if id, ok := notNullGuard(p); ok {
+				notNull = append(notNull, id)
+			}
+		}
+		if len(notNull) > 0 {
+			for i, p := range uniq {
+				if id, ok := selfEquality(p); ok && containsID(notNull, id) {
+					mark(i)
+					kept--
+				}
+			}
+		}
+	}
+	if kept > 1 {
+		var sub [8]Expr
+		for i, p := range uniq {
+			if drop != nil && drop[i] {
+				continue
+			}
+			b, ok := p.(*Binary)
+			if !ok || b.Op != inner {
+				continue
+			}
+			subParts := appendParts(sub[:0], inner, b)
+			if len(subParts) < 2 {
+				continue
+			}
+			for _, d := range subParts {
+				if !Equal(d, p) && indexOf(uniq, d) >= 0 {
+					mark(i)
+					break
+				}
+			}
+		}
+	}
+	if drop == nil {
+		return uniq, nil
+	}
+	out = make([]Expr, 0, len(uniq))
+	for i, p := range uniq {
+		if !drop[i] {
+			out = append(out, p)
+		}
+	}
+	return out, nil
+}
+
+// innerOp is the operator of the parts absorption looks into: OR inside an
+// AND chain, AND inside an OR chain.
+func innerOp(op BinOp) BinOp {
+	if op == OpAnd {
+		return OpOr
+	}
+	return OpAnd
+}
+
+// indexOf returns the position of the part Equal to e, or -1.
+func indexOf(parts []Expr, e Expr) int {
+	for i, p := range parts {
+		if Equal(p, e) {
+			return i
+		}
+	}
+	return -1
+}
+
+// selfEquality reports whether e is c = c over one column c.
+func selfEquality(e Expr) (ColumnID, bool) {
+	if b, ok := e.(*Binary); ok && b.Op == OpEq {
+		lr, ok1 := b.L.(*ColumnRef)
+		rr, ok2 := b.R.(*ColumnRef)
+		if ok1 && ok2 && lr.Col.ID == rr.Col.ID {
+			return lr.Col.ID, true
+		}
+	}
+	return 0, false
+}
+
+// notNullGuard reports whether e is c IS NOT NULL over one column c.
+func notNullGuard(e Expr) (ColumnID, bool) {
+	if isn, ok := e.(*IsNull); ok && isn.Neg {
+		if ref, ok := isn.E.(*ColumnRef); ok {
+			return ref.Col.ID, true
+		}
+	}
+	return 0, false
+}
+
+func containsID(ids []ColumnID, id ColumnID) bool {
+	for _, x := range ids {
+		if x == id {
+			return true
+		}
+	}
+	return false
 }
 
 // interval is a numeric range with optional open bounds, used by the

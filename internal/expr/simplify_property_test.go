@@ -19,7 +19,7 @@ func randBoolExpr(rng *rand.Rand, cols []*Column, depth int) Expr {
 			return FalseExpr()
 		case 2:
 			c := cols[rng.Intn(len(cols))]
-			return &IsNull{E: Ref(c), Neg: rng.Intn(2) == 0}
+			return NewIsNull(Ref(c), rng.Intn(2) == 0)
 		default:
 			c := cols[rng.Intn(len(cols))]
 			op := []BinOp{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}[rng.Intn(6)]
@@ -32,7 +32,7 @@ func randBoolExpr(rng *rand.Rand, cols []*Column, depth int) Expr {
 	case 1:
 		return NewBinary(OpOr, randBoolExpr(rng, cols, depth-1), randBoolExpr(rng, cols, depth-1))
 	case 2:
-		return &Not{E: randBoolExpr(rng, cols, depth-1)}
+		return NewNot(randBoolExpr(rng, cols, depth-1))
 	default:
 		// Duplicate-heavy shapes to exercise absorption: X AND (X OR Y).
 		x := randBoolExpr(rng, cols, depth-1)

@@ -1,9 +1,5 @@
 package expr
 
-import (
-	"sort"
-)
-
 // Mapping maps column identities of one plan's outputs to column instances
 // of another plan — the M component of Fuse(P1, P2) = (P, M, L, R), which
 // maps output columns of P2 to output columns of P. Applying a mapping to
@@ -198,6 +194,12 @@ func Equal(a, b Expr) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
 	}
+	if a == b {
+		return true
+	}
+	if a.meta().hash != b.meta().hash {
+		return false
+	}
 	switch x := a.(type) {
 	case *ColumnRef:
 		y, ok := b.(*ColumnRef)
@@ -261,6 +263,26 @@ func AggEqual(a, b AggCall) bool {
 		Equal(a.Arg, b.Arg) && maskEqual(a.Mask, b.Mask)
 }
 
+// AggKey returns a key for a's AggEqual class: AggEqual calls have equal
+// keys, so keys index maps whose hits AggEqual confirms.
+func AggKey(a AggCall) uint64 {
+	h := mix(mix(tagAgg, uint64(a.Fn)), boolBits(a.Distinct))
+	if a.Arg != nil {
+		h = mix(h, a.Arg.meta().hash)
+	}
+	if a.Mask != nil && !IsTrueLiteral(a.Mask) {
+		h = mix(h, Key(a.Mask))
+	}
+	return h
+}
+
+func boolBits(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 func maskEqual(a, b Expr) bool {
 	ta := a == nil || IsTrueLiteral(a)
 	tb := b == nil || IsTrueLiteral(b)
@@ -268,100 +290,4 @@ func maskEqual(a, b Expr) bool {
 		return ta && tb
 	}
 	return Equivalent(a, b)
-}
-
-// normalize reorders the operand lists of commutative operators (AND, OR,
-// and the operands of = and <>) into a canonical order so that Equivalent
-// can compare by structure.
-func normalize(e Expr) Expr {
-	if e == nil {
-		return nil
-	}
-	switch x := e.(type) {
-	case *Binary:
-		switch x.Op {
-		case OpAnd:
-			parts := Conjuncts(e)
-			for i, p := range parts {
-				parts[i] = normalize(p)
-			}
-			sortByString(parts)
-			return And(parts...)
-		case OpOr:
-			parts := Disjuncts(e)
-			for i, p := range parts {
-				parts[i] = normalize(p)
-			}
-			sortByString(parts)
-			return Or(parts...)
-		case OpEq, OpNe:
-			l, r := normalize(x.L), normalize(x.R)
-			if l.String() > r.String() {
-				l, r = r, l
-			}
-			return NewBinary(x.Op, l, r)
-		case OpAdd, OpMul:
-			l, r := normalize(x.L), normalize(x.R)
-			if l.String() > r.String() {
-				l, r = r, l
-			}
-			return NewBinary(x.Op, l, r)
-		}
-	}
-	ch := e.Children()
-	if len(ch) == 0 {
-		return e
-	}
-	newCh := make([]Expr, len(ch))
-	for i, c := range ch {
-		newCh[i] = normalize(c)
-	}
-	return e.WithChildren(newCh)
-}
-
-func sortByString(es []Expr) {
-	// Rendering is recursive and comparisons are O(n log n); cache the keys
-	// so each expression renders exactly once.
-	keys := make([]string, len(es))
-	for i, e := range es {
-		keys[i] = e.String()
-	}
-	idx := make([]int, len(es))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-	sorted := make([]Expr, len(es))
-	for i, j := range idx {
-		sorted[i] = es[j]
-	}
-	copy(es, sorted)
-}
-
-// Canonical returns a normal form of e: simplified (constant folding,
-// flattening, absorption) with commutative operand lists in a stable
-// sorted order. Two expressions that are Equivalent render to Equal
-// canonical forms, so canonical `String()` keys can drive dedup maps —
-// this is how compiledAggs collapses `a AND b` against `b AND a`.
-func Canonical(e Expr) Expr {
-	if e == nil {
-		return nil
-	}
-	return normalize(Simplify(e))
-}
-
-// Equivalent reports whether two expressions are equal modulo commutativity
-// of AND/OR/=/<>/+/* and constant folding. It is a sound but incomplete
-// equivalence check, exactly what the fusion primitives need for the
-// "C1 ≡ M(C2)" tests in §III.
-func Equivalent(a, b Expr) bool {
-	if Equal(a, b) {
-		return true
-	}
-	return Equal(normalize(Simplify(a)), normalize(Simplify(b)))
-}
-
-// EquivalentUnder reports whether a ≡ M(b).
-func EquivalentUnder(m Mapping, a, b Expr) bool {
-	return Equivalent(a, m.Apply(b))
 }

@@ -108,10 +108,10 @@ func TestSelectivityShapes(t *testing.T) {
 	}{
 		{expr.FalseExpr(), 0, 0},
 		{expr.TrueExpr(), 1000, 1000},
-		{&expr.IsNull{E: expr.Ref(s.Cols[0])}, 1, 100},
-		{&expr.InList{E: expr.Ref(s.Cols[0]), List: []expr.Expr{expr.Lit(types.Int(1)), expr.Lit(types.Int(2))}}, 100, 300},
-		{&expr.Like{E: expr.Ref(s.Cols[1]), Pattern: "a%"}, 100, 400},
-		{&expr.Not{E: expr.Eq(expr.Ref(s.Cols[0]), expr.Lit(types.Int(1)))}, 800, 1000},
+		{expr.NewIsNull(expr.Ref(s.Cols[0]), false), 1, 100},
+		{expr.NewInList(expr.Ref(s.Cols[0]), []expr.Expr{expr.Lit(types.Int(1)), expr.Lit(types.Int(2))}, false), 100, 300},
+		{expr.NewLike(expr.Ref(s.Cols[1]), "a%"), 100, 400},
+		{expr.NewNot(expr.Eq(expr.Ref(s.Cols[0]), expr.Lit(types.Int(1)))), 800, 1000},
 	}
 	for _, c := range cases {
 		got := EstimateRows(NewFilter(s, c.cond))

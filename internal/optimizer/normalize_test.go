@@ -206,11 +206,11 @@ func TestSignatureCoversAllOperators(t *testing.T) {
 	}
 	// Expression kinds.
 	cond := expr.And(
-		&expr.Not{E: expr.NotNull(expr.Ref(ss.Cols[0]))},
-		&expr.InList{E: expr.Ref(ss.Cols[0]), List: []expr.Expr{expr.Lit(types.Int(1))}},
-		&expr.Like{E: expr.Lit(types.String("x")), Pattern: "x%"},
-		&expr.Case{Whens: []expr.When{{Cond: expr.TrueExpr(), Then: expr.Lit(types.Int(1))}}},
-		&expr.Coalesce{Args: []expr.Expr{expr.Ref(ss.Cols[0])}},
+		expr.NewNot(expr.NotNull(expr.Ref(ss.Cols[0]))),
+		expr.NewInList(expr.Ref(ss.Cols[0]), []expr.Expr{expr.Lit(types.Int(1))}, false),
+		expr.NewLike(expr.Lit(types.String("x")), "x%"),
+		expr.NewCase([]expr.When{{Cond: expr.TrueExpr(), Then: expr.Lit(types.Int(1))}}, nil),
+		expr.NewCoalesce([]expr.Expr{expr.Ref(ss.Cols[0])}),
 	)
 	f := &logical.Filter{Input: ss, Cond: cond}
 	sig2 := Signature(f)

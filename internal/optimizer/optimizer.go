@@ -20,6 +20,8 @@
 package optimizer
 
 import (
+	"time"
+
 	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/logical"
@@ -59,9 +61,23 @@ func DefaultOptions() Options {
 	return Options{EnableFusion: true, MaxIterations: 10}
 }
 
-// Trace records which rules changed the plan, in firing order.
+// Trace records which rules changed the plan, in firing order, and what
+// each fusion rule cost.
 type Trace struct {
 	Fired []string
+	// Rules has one entry per enabled fusion rule, in the order they run.
+	Rules []RuleStats
+}
+
+// RuleStats counts one fusion rule's work in an Optimize call.
+type RuleStats struct {
+	Name string
+	// Attempts counts Apply calls: one per plan node per sweep.
+	Attempts int
+	// Firings counts Apply calls that rewrote the plan.
+	Firings int
+	// Time is the wall-clock time of the rule's sweeps.
+	Time time.Duration
 }
 
 // Changed reports whether the named rule fired at least once.
@@ -102,11 +118,15 @@ func Optimize(plan logical.Operator, opts Options) (logical.Operator, *Trace) {
 				fusionRules = append(fusionRules, r)
 			}
 		}
+		trace.Rules = make([]RuleStats, len(fusionRules))
+		for i, r := range fusionRules {
+			trace.Rules[i].Name = r.Name()
+		}
 		for iter := 0; iter < opts.MaxIterations; iter++ {
 			changed := false
-			for _, r := range fusionRules {
+			for i, r := range fusionRules {
 				var fired bool
-				plan, fired = applyEverywhere(plan, r)
+				plan, fired = applyEverywhere(plan, r, &trace.Rules[i])
 				if fired {
 					trace.Fired = append(trace.Fired, r.Name())
 					changed = true
@@ -127,8 +147,11 @@ func Optimize(plan logical.Operator, opts Options) (logical.Operator, *Trace) {
 }
 
 // applyEverywhere applies the rule top-down at every node until it no
-// longer fires anywhere (bounded to avoid pathological loops).
-func applyEverywhere(plan logical.Operator, r core.Rule) (logical.Operator, bool) {
+// longer fires anywhere (bounded to avoid pathological loops), counting
+// its work into st.
+func applyEverywhere(plan logical.Operator, r core.Rule, st *RuleStats) (logical.Operator, bool) {
+	start := time.Now()
+	defer func() { st.Time += time.Since(start) }()
 	firedAny := false
 	for i := 0; i < 10; i++ {
 		fired := false
@@ -136,8 +159,10 @@ func applyEverywhere(plan logical.Operator, r core.Rule) (logical.Operator, bool
 			if fired {
 				return op // one firing per sweep keeps rewrites predictable
 			}
+			st.Attempts++
 			out, changed := r.Apply(op)
 			if changed {
+				st.Firings++
 				fired = true
 				return out
 			}
@@ -151,15 +176,17 @@ func applyEverywhere(plan logical.Operator, r core.Rule) (logical.Operator, bool
 	return plan, firedAny
 }
 
-// normalize runs the classical cleanup rules to fixpoint.
+// normalize runs the classical cleanup rules to fixpoint. Each rule returns
+// its input plan itself when it changes nothing, so the fixpoint is the
+// round that leaves the root pointer unchanged.
 func normalize(plan logical.Operator, maxIter int) logical.Operator {
 	for i := 0; i < maxIter; i++ {
-		before := logical.Format(plan)
+		before := plan
 		plan = SimplifyExpressions(plan)
 		plan = MergeFilters(plan)
 		plan = PushDownPredicates(plan)
 		plan = RemoveTrivialOperators(plan)
-		if logical.Format(plan) == before {
+		if plan == before {
 			break
 		}
 	}

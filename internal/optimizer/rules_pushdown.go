@@ -11,17 +11,23 @@ import (
 // per branch) and sorts. Besides its classical benefit — enabling partition
 // pruning and early filtering — deterministic pushdown normalizes the
 // duplicate subtrees produced by CTE inlining into identical shapes, which
-// is what lets Fuse match them.
+// is what lets Fuse match them. It returns plan itself when no predicate
+// moves.
 func PushDownPredicates(plan logical.Operator) logical.Operator {
 	return pushDown(plan, nil)
 }
 
 // pushDown rewrites op with the given extra conjuncts (defined over op's
-// output schema) applied as early as possible.
+// output schema) applied as early as possible. With no conjuncts it returns
+// op itself when nothing below moves.
 func pushDown(op logical.Operator, conds []expr.Expr) logical.Operator {
 	switch o := op.(type) {
 	case *logical.Filter:
-		return pushDown(o.Input, append(append([]expr.Expr{}, conds...), expr.Conjuncts(o.Cond)...))
+		out := pushDown(o.Input, append(append([]expr.Expr{}, conds...), expr.Conjuncts(o.Cond)...))
+		if f, ok := out.(*logical.Filter); ok && len(conds) == 0 && f.Input == o.Input && expr.Equal(f.Cond, o.Cond) {
+			return o
+		}
+		return out
 
 	case *logical.Project:
 		// Substitute assignment expressions into the conjuncts and push.
@@ -41,7 +47,11 @@ func pushDown(op logical.Operator, conds []expr.Expr) logical.Operator {
 		for i, c := range conds {
 			mapped[i] = sub(c)
 		}
-		return &logical.Project{Input: pushDown(o.Input, mapped), Cols: o.Cols}
+		in := pushDown(o.Input, mapped)
+		if in == o.Input {
+			return o
+		}
+		return &logical.Project{Input: in, Cols: o.Cols}
 
 	case *logical.Join:
 		return pushDownJoin(o, conds)
@@ -59,7 +69,10 @@ func pushDown(op logical.Operator, conds []expr.Expr) logical.Operator {
 				above = append(above, c)
 			}
 		}
-		out := logical.Operator(&logical.GroupBy{Input: pushDown(o.Input, below), Keys: o.Keys, Aggs: o.Aggs})
+		out := logical.Operator(o)
+		if in := pushDown(o.Input, below); in != o.Input {
+			out = &logical.GroupBy{Input: in, Keys: o.Keys, Aggs: o.Aggs}
+		}
 		return wrap(out, above)
 
 	case *logical.UnionAll:
@@ -75,10 +88,17 @@ func pushDown(op logical.Operator, conds []expr.Expr) logical.Operator {
 			}
 			newInputs[i] = pushDown(in, branchConds)
 		}
+		if !changedChildren(o.Inputs, newInputs) {
+			return o
+		}
 		return &logical.UnionAll{Inputs: newInputs, Cols: o.Cols, InputCols: o.InputCols}
 
 	case *logical.Sort:
-		return &logical.Sort{Input: pushDown(o.Input, conds), Keys: o.Keys}
+		in := pushDown(o.Input, conds)
+		if in == o.Input {
+			return o
+		}
+		return &logical.Sort{Input: in, Keys: o.Keys}
 
 	case *logical.Window:
 		// Safe only for conjuncts over columns that partition every window
@@ -107,7 +127,10 @@ func pushDown(op logical.Operator, conds []expr.Expr) logical.Operator {
 				above = append(above, c)
 			}
 		}
-		out := logical.Operator(&logical.Window{Input: pushDown(o.Input, below), Funcs: o.Funcs})
+		out := logical.Operator(o)
+		if in := pushDown(o.Input, below); in != o.Input {
+			out = &logical.Window{Input: in, Funcs: o.Funcs}
+		}
 		return wrap(out, above)
 
 	case *logical.Limit, *logical.EnforceSingleRow, *logical.MarkDistinct:
@@ -154,9 +177,9 @@ func pushDownJoin(o *logical.Join, conds []expr.Expr) logical.Operator {
 		left := pushDown(o.Left, leftConds)
 		right := pushDown(o.Right, rightConds)
 		if len(here) == 0 {
-			return &logical.Join{Kind: logical.CrossJoin, Left: left, Right: right}
+			return sameJoin(o, logical.CrossJoin, left, right, nil)
 		}
-		return &logical.Join{Kind: logical.InnerJoin, Left: left, Right: right, Cond: expr.And(here...)}
+		return sameJoin(o, logical.InnerJoin, left, right, expr.And(here...))
 
 	case logical.SemiJoin:
 		// External conjuncts are over the left schema; left-only parts of
@@ -183,8 +206,7 @@ func pushDownJoin(o *logical.Join, conds []expr.Expr) logical.Operator {
 		}
 		left := pushDown(o.Left, leftConds)
 		right := pushDown(o.Right, rightConds)
-		out := logical.Operator(&logical.Join{Kind: logical.SemiJoin, Left: left, Right: right, Cond: expr.And(joinCond...)})
-		return wrap(out, above)
+		return wrap(sameJoin(o, logical.SemiJoin, left, right, expr.And(joinCond...)), above)
 
 	case logical.LeftJoin:
 		// Only left-side conjuncts sink; the join condition stays intact
@@ -200,10 +222,17 @@ func pushDownJoin(o *logical.Join, conds []expr.Expr) logical.Operator {
 		}
 		left := pushDown(o.Left, leftConds)
 		right := pushDown(o.Right, nil)
-		out := logical.Operator(&logical.Join{Kind: logical.LeftJoin, Left: left, Right: right, Cond: o.Cond})
-		return wrap(out, above)
+		return wrap(sameJoin(o, logical.LeftJoin, left, right, o.Cond), above)
 	}
 	return wrap(o, conds)
+}
+
+// sameJoin builds the join, or returns o when it is that join already.
+func sameJoin(o *logical.Join, kind logical.JoinKind, left, right logical.Operator, cond expr.Expr) logical.Operator {
+	if kind == o.Kind && left == o.Left && right == o.Right && expr.Equal(cond, o.Cond) {
+		return o
+	}
+	return &logical.Join{Kind: kind, Left: left, Right: right, Cond: cond}
 }
 
 func wrap(op logical.Operator, conds []expr.Expr) logical.Operator {

@@ -11,15 +11,16 @@ import (
 	"repro/internal/types"
 )
 
-// Sub-plan fingerprints must be equal exactly when two sub-plans compute
-// the same result from the same table. Plan trees carry per-instance
-// column identities (two compilations of the same SQL never share column
-// IDs), so the walker rewrites every expression onto interned canonical
-// columns before rendering: scan outputs map to a column named by
-// (table, column), project outputs map to a column named by their own
-// canonical defining expression. Two structurally-equal sub-plans then
-// render byte-identical strings through expr.Canonical regardless of which
-// query instance produced them.
+// Sub-plan fingerprints must match exactly when two sub-plans compute the
+// same result from the same table. Plan trees carry per-instance column
+// identities (two compilations of the same SQL never share column IDs), so
+// the walker rewrites every expression onto interned columns: scan outputs
+// map to a column named by (table, column), and the outputs of the n-th
+// operator above the scan to columns named by (n, position). A
+// fingerprint's key renders the sub-plan's shape and the canonical keys
+// (expr.Key) of its rewritten expressions. Keys are shared across queries,
+// where a 64-bit expression key could collide, so a key match counts only
+// when the rewritten expressions are also pairwise expr.Equivalent.
 
 var (
 	internMu   sync.Mutex
@@ -28,7 +29,7 @@ var (
 
 // internCol returns the process-wide canonical column for a name: the same
 // name always resolves to the same *expr.Column (hence the same ID), which
-// is what makes rendered fingerprints stable across query instances.
+// is what makes fingerprints stable across query instances.
 func internCol(name string, k types.Kind) *expr.Column {
 	internMu.Lock()
 	defer internMu.Unlock()
@@ -40,10 +41,40 @@ func internCol(name string, k types.Kind) *expr.Column {
 	return c
 }
 
-// allMapped reports whether every column referenced by e is in the mapping
-// (Mapping.Apply silently passes unmapped columns through, which would make
-// fingerprints depend on instance IDs).
-func allMapped(m expr.Mapping, e expr.Expr) bool {
+// fingerprint is the semantic identity of an eligible sub-plan.
+type fingerprint struct {
+	// key renders the shape and expression keys; it indexes the cache.
+	key string
+	// exprs are the sub-plan's expressions rewritten onto interned
+	// columns, in the order key renders them.
+	exprs []expr.Expr
+}
+
+// matches reports whether a sub-plan whose key equals f's computes the
+// same result: whether its rewritten expressions are equivalent to f's.
+func (f fingerprint) matches(exprs []expr.Expr) bool {
+	if len(exprs) != len(f.exprs) {
+		return false
+	}
+	for i, e := range exprs {
+		if !expr.Equivalent(e, f.exprs[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+type printer struct {
+	b     strings.Builder
+	exprs []expr.Expr
+	sawGB bool
+}
+
+// expr rewrites e onto canonical columns through m and records it. It
+// reports false when e references a column outside the mapping
+// (Mapping.Apply passes unmapped columns through, which would make the
+// fingerprint depend on instance IDs).
+func (p *printer) expr(m expr.Mapping, e expr.Expr) bool {
 	ok := true
 	expr.Walk(e, func(x expr.Expr) bool {
 		if ref, isRef := x.(*expr.ColumnRef); isRef {
@@ -53,126 +84,125 @@ func allMapped(m expr.Mapping, e expr.Expr) bool {
 		}
 		return ok
 	})
-	return ok
-}
-
-// mapCanonical rewrites e onto canonical columns and renders its canonical
-// form. ok is false when e references a column outside the mapping.
-func mapCanonical(m expr.Mapping, e expr.Expr) (string, bool) {
-	if e == nil {
-		return "", true
-	}
-	if !allMapped(m, e) {
-		return "", false
-	}
-	return expr.Canonical(m.Apply(e)).String(), true
-}
-
-// Fingerprint renders the semantic identity of an eligible sub-plan: a
-// Filter/Project chain over a single Scan, with at most one GroupBy
-// (scalar or keyed) anywhere in the stack. It returns the fingerprint, the
-// scanned table, and ok=false for any other shape.
-func Fingerprint(op logical.Operator) (fp string, table string, ok bool) {
-	var b strings.Builder
-	sawGB := false
-	_, table, ok = fingerprintNode(op, &b, &sawGB)
 	if !ok {
-		return "", "", false
+		return false
 	}
-	return b.String(), table, true
+	e = m.Apply(e)
+	p.exprs = append(p.exprs, e)
+	p.b.WriteString(strconv.FormatUint(expr.Key(e), 36))
+	return true
 }
 
-func fingerprintNode(op logical.Operator, b *strings.Builder, sawGB *bool) (expr.Mapping, string, bool) {
+// fingerprintOf fingerprints an eligible sub-plan: a Filter/Project chain
+// over a single Scan, with at most one GroupBy (scalar or keyed) anywhere
+// in the stack. It returns the fingerprint, the scanned table, and
+// ok=false for any other shape.
+func fingerprintOf(op logical.Operator) (fp fingerprint, table string, ok bool) {
+	var p printer
+	_, table, _, ok = p.node(op)
+	if !ok {
+		return fingerprint{}, "", false
+	}
+	return fingerprint{key: p.b.String(), exprs: p.exprs}, table, true
+}
+
+// node fingerprints op and returns the mapping of its output columns onto
+// interned columns and its depth above the scan.
+func (p *printer) node(op logical.Operator) (m expr.Mapping, table string, depth int, ok bool) {
+	if s, isScan := op.(*logical.Scan); isScan {
+		m = expr.Identity()
+		p.b.WriteString("scan:")
+		p.b.WriteString(s.Table.Name)
+		p.b.WriteByte('[')
+		for i, c := range s.Cols {
+			if i > 0 {
+				p.b.WriteByte(',')
+			}
+			p.b.WriteString(s.ColNames[i])
+			m.Add(c.ID, internCol("s:"+s.Table.Name+"."+s.ColNames[i], c.Type))
+		}
+		p.b.WriteByte(']')
+		return m, s.Table.Name, 0, true
+	}
+	var input logical.Operator
 	switch o := op.(type) {
-	case *logical.Scan:
-		m := expr.Identity()
-		b.WriteString("scan:")
-		b.WriteString(o.Table.Name)
-		b.WriteByte('[')
-		for i, c := range o.Cols {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(o.ColNames[i])
-			m.Add(c.ID, internCol("s:"+o.Table.Name+"."+o.ColNames[i], c.Type))
-		}
-		b.WriteByte(']')
-		return m, o.Table.Name, true
-
 	case *logical.Filter:
-		m, tab, ok := fingerprintNode(o.Input, b, sawGB)
-		if !ok {
-			return nil, "", false
-		}
-		ce, ok := mapCanonical(m, o.Cond)
-		if !ok {
-			return nil, "", false
-		}
-		b.WriteString("|filter:")
-		b.WriteString(ce)
-		return m, tab, true
-
+		input = o.Input
 	case *logical.Project:
-		m, tab, ok := fingerprintNode(o.Input, b, sawGB)
-		if !ok {
-			return nil, "", false
-		}
-		b.WriteString("|proj:")
-		for i, a := range o.Cols {
-			ce, ok := mapCanonical(m, a.E)
-			if !ok {
-				return nil, "", false
-			}
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(ce)
-			m.Add(a.Col.ID, internCol("d:"+ce, a.Col.Type))
-		}
-		return m, tab, true
-
+		input = o.Input
 	case *logical.GroupBy:
-		if *sawGB {
-			return nil, "", false
+		if p.sawGB {
+			return nil, "", 0, false
 		}
-		*sawGB = true
-		m, tab, ok := fingerprintNode(o.Input, b, sawGB)
-		if !ok {
-			return nil, "", false
+		p.sawGB = true
+		input = o.Input
+	default:
+		return nil, "", 0, false
+	}
+	m, table, depth, ok = p.node(input)
+	if !ok {
+		return nil, "", 0, false
+	}
+	depth++
+	out := func(j int, c *expr.Column) {
+		m.Add(c.ID, internCol("o:"+strconv.Itoa(depth)+"."+strconv.Itoa(j), c.Type))
+	}
+	switch o := op.(type) {
+	case *logical.Filter:
+		p.b.WriteString("|filter:")
+		ok = p.expr(m, o.Cond)
+	case *logical.Project:
+		p.b.WriteString("|proj:")
+		for j, a := range o.Cols {
+			if j > 0 {
+				p.b.WriteByte(',')
+			}
+			if ok = p.expr(m, a.E); !ok {
+				break
+			}
+			out(j, a.Col)
 		}
-		b.WriteString("|gb:[")
+	case *logical.GroupBy:
+		p.b.WriteString("|gb:[")
 		for i, k := range o.Keys {
 			if _, mapped := m[k.ID]; !mapped {
-				return nil, "", false
+				return nil, "", 0, false
 			}
 			if i > 0 {
-				b.WriteByte(',')
+				p.b.WriteByte(',')
 			}
-			b.WriteString(m.Resolve(k).String())
+			p.b.WriteString(m.Resolve(k).Name)
 		}
-		b.WriteString("]aggs:[")
-		for i, a := range o.Aggs {
-			if !allMapped(m, a.Agg.Arg) || !allMapped(m, a.Agg.Mask) {
-				return nil, "", false
+		p.b.WriteString("]aggs:[")
+		for j, a := range o.Aggs {
+			if j > 0 {
+				p.b.WriteByte(',')
 			}
-			mapped := m.ApplyAgg(a.Agg)
-			canon := expr.AggCall{
-				Fn:       mapped.Fn,
-				Arg:      expr.Canonical(mapped.Arg),
-				Mask:     expr.Canonical(mapped.Mask),
-				Distinct: mapped.Distinct,
+			p.b.WriteString(strconv.Itoa(int(a.Agg.Fn)))
+			if a.Agg.Distinct {
+				p.b.WriteString(" DISTINCT")
 			}
-			s := canon.String()
-			if i > 0 {
-				b.WriteByte(',')
+			mask := a.Agg.Mask
+			if expr.IsTrueLiteral(mask) {
+				mask = nil
 			}
-			b.WriteString(s)
-			m.Add(a.Col.ID, internCol("a:"+s, a.Col.Type))
+			p.b.WriteByte('(')
+			if ok = p.expr(m, a.Agg.Arg); ok {
+				p.b.WriteByte(';')
+				ok = p.expr(m, mask)
+			}
+			if !ok {
+				break
+			}
+			p.b.WriteByte(')')
+			out(j, a.Col)
 		}
-		b.WriteByte(']')
-		return m, tab, true
+		p.b.WriteByte(']')
 	}
-	return nil, "", false
+	if !ok {
+		return nil, "", 0, false
+	}
+	return m, table, depth, true
 }
 
 // signature renders the table's current partition-set version: its ordered

@@ -26,6 +26,7 @@ package rescache
 import (
 	"sync"
 
+	"repro/internal/expr"
 	"repro/internal/logical"
 	"repro/internal/storage"
 	"repro/internal/types"
@@ -59,8 +60,9 @@ type Entry struct {
 
 type cacheEntry struct {
 	Entry
-	sig string
-	h   float64 // GreedyDual-Size priority: clock-at-touch + cost/bytes
+	sig   string
+	exprs []expr.Expr // the fingerprint's expressions, which confirm a hit
+	h     float64     // GreedyDual-Size priority: clock-at-touch + cost/bytes
 }
 
 // Cache is a size-bounded semantic result cache over one store.
@@ -109,7 +111,7 @@ func (c *Cache) Stats() (entries int, bytes int64) {
 type Tx struct {
 	c     *Cache
 	store *storage.Store
-	fp    string
+	fp    fingerprint
 	table string
 	sig   string
 }
@@ -120,7 +122,7 @@ func (c *Cache) Begin(op logical.Operator, store *storage.Store) *Tx {
 	if c == nil || c.cap <= 0 {
 		return nil
 	}
-	fp, table, ok := Fingerprint(op)
+	fp, table, ok := fingerprintOf(op)
 	if !ok {
 		return nil
 	}
@@ -141,14 +143,17 @@ func (tx *Tx) Lookup() (*Entry, bool) {
 	c := tx.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[tx.fp]
+	e, ok := c.entries[tx.fp.key]
 	if !ok {
 		return nil, false
 	}
 	if e.sig != tx.sig {
 		c.bytes -= e.Bytes
-		delete(c.entries, tx.fp)
+		delete(c.entries, tx.fp.key)
 		return nil, false
+	}
+	if !tx.fp.matches(e.exprs) {
+		return nil, false // a key collision: a different sub-plan
 	}
 	// GreedyDual-Size touch: re-anchor the priority at the current clock.
 	e.h = c.clock + density(e.Cost, e.Bytes)
@@ -224,9 +229,9 @@ func (tx *Tx) Offer(rows [][]types.Value, bytes int64, cost CostMetrics) (admitt
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old, ok := c.entries[tx.fp]; ok {
+	if old, ok := c.entries[tx.fp.key]; ok {
 		c.bytes -= old.Bytes
-		delete(c.entries, tx.fp)
+		delete(c.entries, tx.fp.key)
 	}
 	for c.bytes+bytes > c.cap && len(c.entries) > 0 {
 		evictedBytes += c.evictMinLocked()
@@ -234,9 +239,10 @@ func (tx *Tx) Offer(rows [][]types.Value, bytes int64, cost CostMetrics) (admitt
 	if c.bytes+bytes > c.cap {
 		return false, evictedBytes
 	}
-	c.entries[tx.fp] = &cacheEntry{
+	c.entries[tx.fp.key] = &cacheEntry{
 		Entry: Entry{Rows: rows, Cost: cost, Bytes: bytes},
 		sig:   tx.sig,
+		exprs: tx.fp.exprs,
 		h:     c.clock + density(cost, bytes),
 	}
 	c.bytes += bytes

@@ -69,16 +69,16 @@ func rowsOfBytes(n int, payload int) ([][]types.Value, int64) {
 
 func TestFingerprintStableAcrossInstances(t *testing.T) {
 	st := testStore(t)
-	fp1, tab1, ok1 := Fingerprint(chainPlan(t, st, 7))
-	fp2, tab2, ok2 := Fingerprint(chainPlan(t, st, 7))
+	fp1, tab1, ok1 := fingerprintOf(chainPlan(t, st, 7))
+	fp2, tab2, ok2 := fingerprintOf(chainPlan(t, st, 7))
 	if !ok1 || !ok2 {
 		t.Fatal("eligible chain rejected")
 	}
-	if fp1 != fp2 || tab1 != tab2 || tab1 != "f" {
-		t.Fatalf("fingerprints diverge across instances:\n%s\n%s", fp1, fp2)
+	if fp1.key != fp2.key || !fp1.matches(fp2.exprs) || tab1 != tab2 || tab1 != "f" {
+		t.Fatalf("fingerprints diverge across instances:\n%s\n%s", fp1.key, fp2.key)
 	}
-	fp3, _, _ := Fingerprint(chainPlan(t, st, 8))
-	if fp3 == fp1 {
+	fp3, _, _ := fingerprintOf(chainPlan(t, st, 8))
+	if fp3.key == fp1.key || fp3.matches(fp1.exprs) {
 		t.Fatal("different predicates share a fingerprint")
 	}
 }
@@ -90,16 +90,16 @@ func TestFingerprintRejectsIneligibleShapes(t *testing.T) {
 	sum := expr.AggCall{Fn: expr.AggSum, Arg: expr.Ref(s.ColumnFor("v"))}
 	gb1 := &logical.GroupBy{Input: s, Keys: []*expr.Column{s.ColumnFor("k")},
 		Aggs: []logical.AggAssign{{Col: expr.NewColumn("s", sum.ResultType()), Agg: sum}}}
-	if _, _, ok := Fingerprint(gb1); !ok {
+	if _, _, ok := fingerprintOf(gb1); !ok {
 		t.Fatal("keyed aggregation over a scan must be eligible")
 	}
 	cnt := expr.AggCall{Fn: expr.AggCountStar}
 	gb2 := &logical.GroupBy{Input: gb1, Keys: nil,
 		Aggs: []logical.AggAssign{{Col: expr.NewColumn("c", cnt.ResultType()), Agg: cnt}}}
-	if _, _, ok := Fingerprint(gb2); ok {
+	if _, _, ok := fingerprintOf(gb2); ok {
 		t.Fatal("double aggregation must be ineligible")
 	}
-	if _, _, ok := Fingerprint(&logical.Values{}); ok {
+	if _, _, ok := fingerprintOf(&logical.Values{}); ok {
 		t.Fatal("values leaf must be ineligible")
 	}
 }
@@ -275,5 +275,47 @@ func TestBeginNilCases(t *testing.T) {
 	empty := storage.NewStore(cat)
 	if tx := c.Begin(chainPlan(t, st, 1), empty); tx != nil {
 		t.Fatal("empty table began a transaction")
+	}
+}
+
+// TestLookupConfirmsKeyWithExpressions forges a key collision: a lookup
+// whose fingerprint key matches an entry computed for a different
+// predicate must miss, because the expressions behind the keys differ.
+func TestLookupConfirmsKeyWithExpressions(t *testing.T) {
+	st := testStore(t)
+	c := New(1 << 20)
+	tx := c.Begin(chainPlan(t, st, 5), st)
+	rows, bytes := rowsOfBytes(4, 8)
+	if admitted, _ := tx.Offer(rows, bytes, CostMetrics{RowsScanned: 1 << 20}); !admitted {
+		t.Fatal("offer rejected")
+	}
+	if _, hit := c.Begin(chainPlan(t, st, 5), st).Lookup(); !hit {
+		t.Fatal("same sub-plan missed")
+	}
+	other := c.Begin(chainPlan(t, st, 6), st)
+	other.fp.key = tx.fp.key
+	if _, hit := other.Lookup(); hit {
+		t.Fatal("a key collision served another predicate's result")
+	}
+}
+
+// TestFingerprintIgnoresConjunctOrder checks that predicates equal up to
+// the order of their conjuncts share a fingerprint.
+func TestFingerprintIgnoresConjunctOrder(t *testing.T) {
+	st := testStore(t)
+	tab, _ := st.Catalog().Table("f")
+	plan := func(swap bool) logical.Operator {
+		s := logical.NewScan(tab)
+		var a expr.Expr = expr.NewBinary(expr.OpGt, expr.Ref(s.ColumnFor("v")), expr.Lit(types.Int(3)))
+		b := expr.Eq(expr.Lit(types.Int(1)), expr.Ref(s.ColumnFor("k")))
+		if swap {
+			a, b = b, a
+		}
+		return logical.NewFilter(s, expr.And(a, b))
+	}
+	fp1, _, ok1 := fingerprintOf(plan(false))
+	fp2, _, ok2 := fingerprintOf(plan(true))
+	if !ok1 || !ok2 || fp1.key != fp2.key || !fp1.matches(fp2.exprs) {
+		t.Fatalf("reordered conjuncts fingerprint differently:\n%s\n%s", fp1.key, fp2.key)
 	}
 }
