@@ -36,7 +36,7 @@ type Config struct {
 	BatchSize int
 	// ShareScans opts this engine's queries into cross-query scan sharing:
 	// concurrent queries over the same partitions of the same store share
-	// chunk-decode work (late arrivals attach to in-flight morsel streams)
+	// chunk-decode work (late arrivals attach to in-flight chunk decodes)
 	// and misses are backed by a bounded decoded-chunk cache. Results and
 	// Metrics.Storage.BytesScanned are identical either way — only the
 	// physical work reported by Metrics.Share.BytesDecoded changes. Sharing

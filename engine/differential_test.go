@@ -34,8 +34,8 @@ import (
 // Each row of diffRows is one comparison over one corpus. Adding a layer
 // means adding a row, a one-line Test entry (and Fuzz entry, for a testgen
 // corpus) and the row's name in the CI differential matrix. Stores load
-// once per process and oracles run once per (store, data epoch, query,
-// oracle config), so rows over one corpus share its reference runs.
+// once per process and oracles run once per (store snapshot, query, oracle
+// config), so rows over one corpus share its reference runs.
 
 // diffMode is how a row drives its variants over a query group.
 type diffMode int
@@ -788,8 +788,7 @@ func fuzzDiffRow(f *testing.F, name string) {
 // Oracles.
 
 type oracleKey struct {
-	store *storage.Store
-	epoch int64
+	snap  *storage.Snapshot
 	query string
 	cfg   Config
 }
@@ -805,10 +804,10 @@ type oracleCache struct{ sync.Map }
 // sharedOracles serves rows over process-lifetime stores.
 var sharedOracles = &oracleCache{}
 
-// lookup returns the oracle run of query at the store's current epoch; the
-// caller must keep the store from changing while it runs.
+// lookup returns the oracle run of query over the store's current snapshot;
+// the caller must keep the store from changing while it runs.
 func (c *oracleCache) lookup(st *storage.Store, query string, cfg Config) (*oracleResult, error) {
-	key := oracleKey{store: st, epoch: st.Epoch(), query: query, cfg: cfg}
+	key := oracleKey{snap: st.Snapshot(), query: query, cfg: cfg}
 	if o, ok := c.Load(key); ok {
 		return o.(*oracleResult), nil
 	}

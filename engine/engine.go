@@ -240,10 +240,10 @@ func (e *Engine) Load(table string, rows [][]Value) error {
 
 // Append ingests rows into a table as new partitions alongside the
 // existing data — the runtime write path. It is safe to call while queries
-// run: readers see either the pre- or post-append partition set, never a
-// mix, and epoch- and partition-signature-keyed caches (chain shapes,
-// cached sub-plan results) invalidate exactly the entries the append
-// touches.
+// run: every query reads one snapshot, so all its scans see either the pre-
+// or the post-append partition set, never a mix, and the caches keyed by
+// table version (chain shapes, cached sub-plan results) invalidate exactly
+// the appended table's entries.
 func (e *Engine) Append(table string, rows [][]Value) error {
 	return e.store.Append(table, rows)
 }

@@ -38,7 +38,7 @@ func TestConcurrentVectorizedQueries(t *testing.T) {
 	// Scan-heavy (q09, q28), join+agg (q65, f18), multi-key aggregation with
 	// HAVING (f26) and COUNT(DISTINCT) (f11) — the operators that run
 	// partitioned in parallel. The LIMIT scan abandons its (possibly shared)
-	// morsel stream early while other workers keep consuming the same
+	// chunk decodes early while other workers keep consuming the same
 	// partitions, and the bare aggregation overlaps every worker on
 	// store_sales.
 	const limitScan = "SELECT ss_item_sk, ss_quantity FROM store_sales LIMIT 7"

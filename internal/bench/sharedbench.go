@@ -54,11 +54,10 @@ type SharedQueryReport struct {
 	UnsharedBytesDecoded int64   `json:"unshared_bytes_decoded"`
 	SharedBytesDecoded   int64   `json:"shared_bytes_decoded"`
 	DecodeReduction      float64 `json:"decode_reduction"`
-	// SharedHits/CacheHits/StreamHits break down where the shared runs got
-	// their chunks (in-flight attach, decoded-chunk cache, morsel stream).
+	// SharedHits/CacheHits break down where the shared runs got their
+	// chunks (in-flight attach, decoded-chunk cache).
 	SharedHits int64 `json:"shared_hits"`
 	CacheHits  int64 `json:"cache_hits"`
-	StreamHits int64 `json:"stream_hits"`
 	// Identical is true when every run in both modes returned rows
 	// byte-identical to the serial unshared reference and the same
 	// BytesScanned.
@@ -91,7 +90,6 @@ type sharedModeResult struct {
 	decoded   []int64 // per query, summed over workers × iterations
 	shared    []int64
 	cache     []int64
-	stream    []int64
 	identical []int64 // 0 = every run matched the reference
 }
 
@@ -152,7 +150,6 @@ func RunSharedComparison(opts SharedOptions) (*SharedComparison, error) {
 			decoded:   make([]int64, len(queries)),
 			shared:    make([]int64, len(queries)),
 			cache:     make([]int64, len(queries)),
-			stream:    make([]int64, len(queries)),
 			identical: make([]int64, len(queries)),
 		}
 		for iter := 0; iter < opts.Iterations; iter++ {
@@ -177,7 +174,6 @@ func RunSharedComparison(opts SharedOptions) (*SharedComparison, error) {
 						atomic.AddInt64(&mode.decoded[i], res.Metrics.Share.BytesDecoded)
 						atomic.AddInt64(&mode.shared[i], res.Metrics.Share.SharedHits)
 						atomic.AddInt64(&mode.cache[i], res.Metrics.Share.CacheHits)
-						atomic.AddInt64(&mode.stream[i], res.Metrics.Share.StreamHits)
 						if renderRows(res.Rows) != wantRows[i] || res.Metrics.Storage.BytesScanned != wantScanned[i] {
 							atomic.AddInt64(&mode.identical[i], 1)
 						}
@@ -216,7 +212,6 @@ func RunSharedComparison(opts SharedOptions) (*SharedComparison, error) {
 			SharedBytesDecoded:   shared.decoded[i],
 			SharedHits:           shared.shared[i],
 			CacheHits:            shared.cache[i],
-			StreamHits:           shared.stream[i],
 			Identical:            unshared.identical[i] == 0 && shared.identical[i] == 0,
 		}
 		if qr.SharedBytesDecoded > 0 {

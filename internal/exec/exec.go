@@ -114,9 +114,11 @@ type Options struct {
 	// Results and logical metrics are identical either way — this is the
 	// differential-validation and benchmarking baseline.
 	NoSkip bool
-	// Snapshot, when non-nil, is the read view every scan leaf resolves its
-	// partitions from instead of the live store. internal/xfuse pins one so
-	// a fused run and its members' as-if-solo charges see the same data.
+	// Snapshot is the read view every scan leaf and result-cache probe of
+	// the run resolves its data from; nil means the store's current
+	// snapshot, taken when the run starts. internal/xfuse pins one per batch
+	// so a fused run, its members' as-if-solo charges and their cache
+	// probes all see the same data.
 	Snapshot *storage.Snapshot
 }
 
@@ -305,6 +307,9 @@ func RunWith(plan logical.Operator, store *storage.Store, opts Options) (*Result
 // (engine-resident when supplied, private otherwise), and the store's
 // scan-share manager when opted in.
 func newExecutor(store *storage.Store, opts Options) *executor {
+	if opts.Snapshot == nil {
+		opts.Snapshot = store.Snapshot()
+	}
 	mempool := opts.MemPool
 	if mempool == nil {
 		mempool = memctl.NewPool(0, "")
@@ -517,32 +522,10 @@ func (ex *executor) build(op logical.Operator) (BatchIterator, error) {
 	}
 }
 
-// drainRows pulls every batch of in, materializing rows and charging
-// RowsProcessed once per batch. Blocking operators (sort, window, nested
-// loop build) use it to buffer their input.
-func drainRows(in BatchIterator, width int, m *Metrics) ([]Row, error) {
-	var rows []Row
-	for {
-		b, err := in.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return rows, nil
-		}
-		n := b.Len()
-		m.addProcessed(int64(n))
-		for i := 0; i < n; i++ {
-			row := make(Row, width)
-			b.Gather(i, row)
-			rows = append(rows, row)
-		}
-	}
-}
-
-// drainRowsTracked is drainRows with memctl accounting: each batch's
-// estimated resident bytes are reserved under op before the rows are kept.
-// The caller owns releasing the reservation (typically on operator EOF or
+// drainRowsTracked pulls every batch of in, materializing rows and charging
+// RowsProcessed once per batch; blocking operators (sort, window, nested
+// loop build) use it to buffer their input. Each batch's estimated resident
+// bytes are reserved under op before the rows are kept. The caller owns releasing the reservation (typically on operator EOF or
 // via ex.onClose). Buffered rows here are not spillable — a reservation
 // failure surfaces as ErrMemoryExceeded.
 func drainRowsTracked(in BatchIterator, width int, m *Metrics, tracker *memctl.Tracker, op string) ([]Row, int64, error) {

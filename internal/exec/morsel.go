@@ -57,10 +57,10 @@ func morselTarget(parts []*storage.Partition, batchSize, parallelism int) int {
 }
 
 // partitionBatches decodes one partition's columns in a single pass each —
-// through the scan-share session when one is open — and slices the vectors
+// through the scan-share manager when sharing is on — and slices the vectors
 // into dense batches (zero-copy subslices). stop abandons waits on other
 // queries' in-flight decodes when this query goes away early.
-func partitionBatches(p *storage.Partition, cols []string, batchSize int, share *scanshare.Scan, stop <-chan struct{}, m *Metrics, dst []*vec.Batch) ([]*vec.Batch, error) {
+func partitionBatches(p *storage.Partition, cols []string, batchSize int, share *scanshare.Manager, stop <-chan struct{}, m *Metrics, dst []*vec.Batch) ([]*vec.Batch, error) {
 	decoded, err := decodePartition(p, cols, share, stop, m)
 	if err != nil {
 		return nil, err
@@ -112,8 +112,8 @@ type parallelScanIter struct {
 	m         *Metrics
 	pool      *workerPool
 	// share, when non-nil, routes partition decodes through the cross-query
-	// scan-share session (set by buildScan before the first NextBatch).
-	share *scanshare.Scan
+	// scan-share manager (set by buildScan before the first NextBatch).
+	share *scanshare.Manager
 	// ctrl prunes partitions before decode (set by buildScan; nil-safe).
 	// Workers decide prunes; the consumer applies the recharge in order.
 	ctrl *skipController

@@ -296,7 +296,7 @@ func (ex *executor) newChainIterator(cs *chainSpec) (BatchIterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	parts, share, err := ex.scanSource(cs.scan, cs.prune)
+	parts, err := ex.scanSource(cs.scan, cs.prune)
 	if err != nil {
 		return nil, err
 	}
@@ -306,22 +306,16 @@ func (ex *executor) newChainIterator(cs *chainSpec) (BatchIterator, error) {
 	if ex.opts.Parallelism > 1 {
 		morsels := buildMorsels(parts, morselTarget(parts, ex.opts.BatchSize, ex.opts.Parallelism))
 		if len(morsels) > 1 {
-			it, err := newPipelineIter(ex, cs, morsels, share)
+			it, err := newPipelineIter(ex, cs, morsels)
 			if err != nil {
 				return nil, err
 			}
 			it.ctrl = ctrl
 			ex.closers = append(ex.closers, it.close)
-			if share != nil {
-				ex.closers = append(ex.closers, share.Close)
-			}
 			return it, nil
 		}
 	}
-	if share != nil {
-		ex.closers = append(ex.closers, share.Close)
-	}
-	src := &scanIter{cols: cs.scan.ColNames, parts: parts, batchSize: ex.opts.BatchSize, m: ex.metrics, share: share, ctrl: ctrl}
+	src := &scanIter{cols: cs.scan.ColNames, parts: parts, batchSize: ex.opts.BatchSize, m: ex.metrics, share: ex.share, ctrl: ctrl}
 	return &chainIter{src: src, stages: stages, m: ex.metrics, co: batchCoalescer{target: ex.opts.BatchSize}}, nil
 }
 
@@ -541,7 +535,7 @@ type pipelineIter struct {
 	batchSize int
 	m         *Metrics
 	pool      *workerPool
-	share     *scanshare.Scan
+	share     *scanshare.Manager
 	// ctrl prunes partitions before decode (nil-safe). Workers decide and
 	// tally prunes per morsel; the consumer recharges on receipt — pipelines
 	// never run under LIMIT, so only the total matters, not the position.
@@ -552,7 +546,7 @@ type pipelineIter struct {
 	curIdx int
 }
 
-func newPipelineIter(ex *executor, cs *chainSpec, morsels []morsel, share *scanshare.Scan) (*pipelineIter, error) {
+func newPipelineIter(ex *executor, cs *chainSpec, morsels []morsel) (*pipelineIter, error) {
 	run := newOrderedRun[morselResult](len(morsels), ex.opts.Parallelism)
 	wstages := make([][]pipeStage, run.workers)
 	for w := range wstages {
@@ -565,7 +559,7 @@ func newPipelineIter(ex *executor, cs *chainSpec, morsels []morsel, share *scans
 	return &pipelineIter{
 		run: run, morsels: morsels, cols: cs.scan.ColNames,
 		batchSize: ex.opts.BatchSize, m: ex.metrics, pool: ex.pool,
-		share: share, wstages: wstages,
+		share: ex.share, wstages: wstages,
 	}, nil
 }
 

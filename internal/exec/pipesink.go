@@ -24,16 +24,13 @@ import (
 // source — the sinks' fallback when the scan yields at most one morsel. The
 // caller has committed to the scan (BytesScanned is charged), so this path
 // must be taken rather than falling back to the pull builders.
-func (ex *executor) serialChain(cs *chainSpec, parts []*storage.Partition, share *scanshare.Scan) (BatchIterator, error) {
+func (ex *executor) serialChain(cs *chainSpec, parts []*storage.Partition) (BatchIterator, error) {
 	stages, err := newPipeStages(cs, ex.opts.NaiveMasks)
 	if err != nil {
 		return nil, err
 	}
-	if share != nil {
-		ex.closers = append(ex.closers, share.Close)
-	}
 	ctrl, _ := ex.lookupScanCtrl(cs.scan)
-	src := &scanIter{cols: cs.scan.ColNames, parts: parts, batchSize: ex.opts.BatchSize, m: ex.metrics, share: share, ctrl: ctrl}
+	src := &scanIter{cols: cs.scan.ColNames, parts: parts, batchSize: ex.opts.BatchSize, m: ex.metrics, share: ex.share, ctrl: ctrl}
 	return &chainIter{src: src, stages: stages, m: ex.metrics, co: batchCoalescer{target: ex.opts.BatchSize}}, nil
 }
 
@@ -69,7 +66,7 @@ func (ex *executor) buildScalarAggSink(g *logical.GroupBy) (BatchIterator, bool,
 	if _, err := spec.newWorker(); err != nil {
 		return nil, true, err
 	}
-	parts, share, err := ex.scanSource(cs.scan, cs.prune)
+	parts, err := ex.scanSource(cs.scan, cs.prune)
 	if err != nil {
 		return nil, true, err
 	}
@@ -77,21 +74,18 @@ func (ex *executor) buildScalarAggSink(g *logical.GroupBy) (BatchIterator, bool,
 	ex.metrics.addFusedPipelines(1)
 	morsels := buildMorsels(parts, morselTarget(parts, ex.opts.BatchSize, ex.opts.Parallelism))
 	if len(morsels) <= 1 {
-		in, err := ex.serialChain(cs, parts, share)
+		in, err := ex.serialChain(cs, parts)
 		if err != nil {
 			return nil, true, err
 		}
 		it, err := ex.serialScalarGroupBy(g, in)
 		return it, true, err
 	}
-	it, err := newScalarAggIter(ex, spec, morsels, share)
+	it, err := newScalarAggIter(ex, spec, morsels)
 	if err != nil {
 		return nil, true, err
 	}
 	ex.closers = append(ex.closers, it.run.close)
-	if share != nil {
-		ex.closers = append(ex.closers, share.Close)
-	}
 	return it, true, nil
 }
 
@@ -274,7 +268,7 @@ type scalarAggIter struct {
 	batchSize int
 	m         *Metrics
 	pool      *workerPool
-	share     *scanshare.Scan
+	share     *scanshare.Manager
 	ctrl      *skipController
 	workers   []*scalarWorker
 	aggCalls  []expr.AggCall
@@ -284,7 +278,7 @@ type scalarAggIter struct {
 	out   *vec.Batch
 }
 
-func newScalarAggIter(ex *executor, spec *scalarWorkerSpec, morsels []morsel, share *scanshare.Scan) (*scalarAggIter, error) {
+func newScalarAggIter(ex *executor, spec *scalarWorkerSpec, morsels []morsel) (*scalarAggIter, error) {
 	g := spec.g
 	run := newOrderedRun[scalarMorselOut](len(morsels), ex.opts.Parallelism)
 	workers := make([]*scalarWorker, run.workers)
@@ -304,7 +298,7 @@ func newScalarAggIter(ex *executor, spec *scalarWorkerSpec, morsels []morsel, sh
 	ctrl, _ := ex.lookupScanCtrl(spec.cs.scan)
 	return &scalarAggIter{
 		run: run, morsels: morsels, cols: spec.cs.scan.ColNames,
-		batchSize: ex.opts.BatchSize, m: ex.metrics, pool: ex.pool, share: share,
+		batchSize: ex.opts.BatchSize, m: ex.metrics, pool: ex.pool, share: ex.share,
 		ctrl: ctrl, workers: workers, aggCalls: aggCalls, sensitive: sensitive,
 	}, nil
 }
@@ -437,7 +431,7 @@ func (ex *executor) buildSortRunSink(s *logical.Sort) (BatchIterator, bool, erro
 	if _, err := sortKeyEvs(s); err != nil {
 		return nil, true, err
 	}
-	parts, share, err := ex.scanSource(cs.scan, cs.prune)
+	parts, err := ex.scanSource(cs.scan, cs.prune)
 	if err != nil {
 		return nil, true, err
 	}
@@ -445,22 +439,19 @@ func (ex *executor) buildSortRunSink(s *logical.Sort) (BatchIterator, bool, erro
 	ex.metrics.addFusedPipelines(1)
 	morsels := buildMorsels(parts, morselTarget(parts, ex.opts.BatchSize, ex.opts.Parallelism))
 	if len(morsels) <= 1 {
-		in, err := ex.serialChain(cs, parts, share)
+		in, err := ex.serialChain(cs, parts)
 		if err != nil {
 			return nil, true, err
 		}
 		it, err := ex.newSortIter(s, in)
 		return it, true, err
 	}
-	it, err := newSortRunIter(ex, s, cs, morsels, share)
+	it, err := newSortRunIter(ex, s, cs, morsels)
 	if err != nil {
 		return nil, true, err
 	}
 	ex.closers = append(ex.closers, it.run.close)
 	ex.onClose(it.sink.closeRuns)
-	if share != nil {
-		ex.closers = append(ex.closers, share.Close)
-	}
 	return it, true, nil
 }
 
@@ -693,7 +684,7 @@ type sortRunIter struct {
 	evs       []*evaluator
 	m         *Metrics
 	pool      *workerPool
-	share     *scanshare.Scan
+	share     *scanshare.Manager
 	ctrl      *skipController
 	tracker   *memctl.Tracker
 	wstages   [][]pipeStage
@@ -704,7 +695,7 @@ type sortRunIter struct {
 	merge *sortMerger
 }
 
-func newSortRunIter(ex *executor, s *logical.Sort, cs *chainSpec, morsels []morsel, share *scanshare.Scan) (*sortRunIter, error) {
+func newSortRunIter(ex *executor, s *logical.Sort, cs *chainSpec, morsels []morsel) (*sortRunIter, error) {
 	run := newOrderedRun[error](len(morsels), ex.opts.Parallelism)
 	width := len(s.Input.Schema())
 	sink := &sortRunSink{
@@ -733,7 +724,7 @@ func newSortRunIter(ex *executor, s *logical.Sort, cs *chainSpec, morsels []mors
 	return &sortRunIter{
 		run: run, morsels: morsels, cols: cs.scan.ColNames,
 		batchSize: ex.opts.BatchSize, width: width, keys: s.Keys, evs: evs,
-		m: ex.metrics, pool: ex.pool, share: share, ctrl: ctrl, tracker: ex.tracker,
+		m: ex.metrics, pool: ex.pool, share: ex.share, ctrl: ctrl, tracker: ex.tracker,
 		wstages: wstages, wstates: wstates, sink: sink,
 	}, nil
 }

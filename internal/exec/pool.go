@@ -32,9 +32,6 @@ func NewWorkerPool(n int) *WorkerPool {
 	return &WorkerPool{slots: make(chan struct{}, n)}
 }
 
-// Size returns the slot count.
-func (p *WorkerPool) Size() int { return cap(p.slots) }
-
 func (p *WorkerPool) acquire() { p.slots <- struct{}{} }
 func (p *WorkerPool) release() { <-p.slots }
 
@@ -62,9 +59,6 @@ func (p *WorkerPool) Close() error {
 	}
 	return nil
 }
-
-// Closed reports whether Close has completed a drain.
-func (p *WorkerPool) Closed() bool { return p.closed.Load() }
 
 // String implements fmt.Stringer for debug output.
 func (p *WorkerPool) String() string {

@@ -27,18 +27,17 @@ func (ex *executor) buildResultCached(op logical.Operator) (BatchIterator, bool,
 	if ex.rcache == nil || ex.rcDepth > 0 || ex.noPush > 0 {
 		return nil, false, nil
 	}
-	// Begin snapshots the table's partition-set signature BEFORE the
-	// subtree build enumerates partitions (the cross-cache epoch-ordering
-	// invariant): an Append racing this query can at worst produce a dead
-	// entry that fails offer-time revalidation, never a stale hit.
-	tx := ex.rcache.Begin(op, ex.store)
+	// The transaction reads the table's version from the run's snapshot,
+	// which the subtree's scans read too, so a captured result is exactly
+	// the result at that version.
+	tx := ex.rcache.Begin(op, ex.opts.Snapshot)
 	if tx == nil {
 		return nil, false, nil
 	}
 	if ent, ok := tx.Lookup(); ok {
 		ex.metrics.ResultCache.Hits++
 		ex.metrics.ResultCache.ServedBytes += ent.Bytes
-		chargeCost(ex.metrics, ent.Cost)
+		ChargeCost(ex.metrics, ent.Cost)
 		return &rcReplayIter{rows: ent.Rows, width: len(op.Schema()), batchSize: ex.opts.BatchSize}, true, nil
 	}
 	ex.metrics.ResultCache.Misses++
@@ -67,11 +66,11 @@ func (ex *executor) buildResultCached(op logical.Operator) (BatchIterator, bool,
 	return t, true, nil
 }
 
-// chargeCost replays an entry's as-if-solo logical charges onto m. The
+// ChargeCost replays an entry's as-if-solo logical charges onto m. The
 // physical counters (Share, Pipeline) stay untouched: a hit performs no
 // decode and compiles no pipeline, and those counters report what actually
-// ran.
-func chargeCost(m *Metrics, c rescache.CostMetrics) {
+// ran. It is the one conversion from rescache.CostMetrics to Metrics.
+func ChargeCost(m *Metrics, c rescache.CostMetrics) {
 	m.Storage.AddBytes(c.BytesScanned)
 	m.Storage.AddRows(c.RowsScanned)
 	m.addProcessed(c.RowsProcessed)
@@ -88,7 +87,6 @@ func absorb(parent, priv *Metrics) {
 	atomic.AddInt64(&parent.Share.ChunksDecoded, atomic.LoadInt64(&priv.Share.ChunksDecoded))
 	atomic.AddInt64(&parent.Share.SharedHits, atomic.LoadInt64(&priv.Share.SharedHits))
 	atomic.AddInt64(&parent.Share.CacheHits, atomic.LoadInt64(&priv.Share.CacheHits))
-	atomic.AddInt64(&parent.Share.StreamHits, atomic.LoadInt64(&priv.Share.StreamHits))
 	parent.addProcessed(atomic.LoadInt64(&priv.RowsProcessed))
 	parent.addHashRows(atomic.LoadInt64(&priv.HashRows))
 	parent.addSpoolWritten(atomic.LoadInt64(&priv.SpoolBytesWritten))
@@ -99,21 +97,22 @@ func absorb(parent, priv *Metrics) {
 	parent.addMaterializedSaved(atomic.LoadInt64(&priv.Pipeline.MaterializedBatchesSaved))
 	// Skip counters are physical (what actually happened), so a capturing
 	// miss run folds them up; a replay re-charges logical cost only and
-	// correctly reports zero prunes (chargeCost leaves Skip untouched).
+	// correctly reports zero prunes (ChargeCost leaves Skip untouched).
 	parent.addChunksPruned(atomic.LoadInt64(&priv.Skip.ChunksPruned))
 	parent.addPartitionsPruned(atomic.LoadInt64(&priv.Skip.PartitionsPruned))
 	parent.addBloomPruned(atomic.LoadInt64(&priv.Skip.BloomPruned))
 	parent.addPrunedBytes(atomic.LoadInt64(&priv.Skip.PrunedBytes))
 }
 
-// costOf extracts an entry's cost metrics from a drained private capture.
-func costOf(priv *Metrics) rescache.CostMetrics {
+// CostOf extracts an entry's cost metrics from the metrics of a drained
+// run. It is the one conversion from Metrics to rescache.CostMetrics.
+func CostOf(m *Metrics) rescache.CostMetrics {
 	return rescache.CostMetrics{
-		BytesScanned:   atomic.LoadInt64(&priv.Storage.BytesScanned),
-		RowsScanned:    atomic.LoadInt64(&priv.Storage.RowsScanned),
-		RowsProcessed:  atomic.LoadInt64(&priv.RowsProcessed),
-		HashRows:       atomic.LoadInt64(&priv.HashRows),
-		MaskPrefixHits: atomic.LoadInt64(&priv.MaskPrefixHits),
+		BytesScanned:   atomic.LoadInt64(&m.Storage.BytesScanned),
+		RowsScanned:    atomic.LoadInt64(&m.Storage.RowsScanned),
+		RowsProcessed:  atomic.LoadInt64(&m.RowsProcessed),
+		HashRows:       atomic.LoadInt64(&m.HashRows),
+		MaskPrefixHits: atomic.LoadInt64(&m.MaskPrefixHits),
 	}
 }
 
@@ -152,7 +151,7 @@ func (t *rcTeeIter) NextBatch() (*vec.Batch, error) {
 			row := make([]types.Value, w)
 			b.Gather(i, row)
 			t.rows = append(t.rows, row)
-			t.bytes += rescache.RowBytes(row)
+			t.bytes += types.ResidentBytes(row)
 		}
 		if t.bytes > t.limit {
 			t.abandoned = true
@@ -174,7 +173,7 @@ func (t *rcTeeIter) finish() {
 				if rows == nil {
 					rows = [][]types.Value{}
 				}
-				admitted, evicted := t.tx.Offer(rows, t.bytes, costOf(t.priv))
+				admitted, evicted := t.tx.Offer(rows, t.bytes, CostOf(t.priv))
 				if !admitted {
 					t.parent.ResultCache.AdmissionRejects++
 				}

@@ -112,34 +112,24 @@ func (ex *executor) newFilterIter(in BatchIterator, cond expr.Expr, layout map[e
 	return &filterIter{in: in, fam: fam, m: ex.metrics}, nil
 }
 
-// scanSource resolves a scan leaf's partitions and, with sharing on, opens
-// its scan-share session. Shared by the pull scan builder and the
-// push-pipeline compiler so both charge the same BytesScanned and decode
-// accounting. The session closes after the leaf's workers drain (closers
-// run in append order), so callers must append it after their own closer.
-func (ex *executor) scanSource(s *logical.Scan, prune storage.Pruner) ([]*storage.Partition, *scanshare.Scan, error) {
-	scan := ex.store.ScanPartitions
-	if ex.opts.Snapshot != nil {
-		scan = ex.opts.Snapshot.ScanPartitions
-	}
-	parts, err := scan(s.Table.Name, s.ColNames, prune, &ex.metrics.Storage)
+// scanSource resolves a scan leaf's partitions from the run's snapshot.
+// Shared by the pull scan builder and the push-pipeline compiler so both
+// charge the same BytesScanned.
+func (ex *executor) scanSource(s *logical.Scan, prune storage.Pruner) ([]*storage.Partition, error) {
+	parts, err := ex.opts.Snapshot.ScanPartitions(s.Table.Name, s.ColNames, prune, &ex.metrics.Storage)
 	if err != nil {
-		return nil, nil, err
-	}
-	var share *scanshare.Scan
-	if ex.share != nil {
-		share = ex.share.Open(s.Table.Name, parts, s.ColNames, &ex.metrics.Share)
+		return nil, err
 	}
 	if !ex.opts.NoSkip {
 		// Register a skip controller for this leaf; the filter, chain
 		// compiler, or a hash join above will configure it with predicates.
 		ex.registerScanCtrl(s, &skipController{m: ex.metrics, cols: s.ColNames, rcDepth: ex.rcDepth})
 	}
-	return parts, share, nil
+	return parts, nil
 }
 
 func (ex *executor) buildScan(s *logical.Scan, prune storage.Pruner) (BatchIterator, error) {
-	parts, share, err := ex.scanSource(s, prune)
+	parts, err := ex.scanSource(s, prune)
 	if err != nil {
 		return nil, err
 	}
@@ -148,28 +138,22 @@ func (ex *executor) buildScan(s *logical.Scan, prune storage.Pruner) (BatchItera
 		morsels := buildMorsels(parts, morselTarget(parts, ex.opts.BatchSize, ex.opts.Parallelism))
 		if len(morsels) > 1 {
 			it := newParallelScan(s.ColNames, morsels, ex.opts.BatchSize, ex.opts.Parallelism, ex.metrics, ex.pool)
-			it.share = share
+			it.share = ex.share
 			it.ctrl = ctrl
 			ex.closers = append(ex.closers, it.close)
-			if share != nil {
-				ex.closers = append(ex.closers, share.Close)
-			}
 			return it, nil
 		}
 	}
-	if share != nil {
-		ex.closers = append(ex.closers, share.Close)
-	}
-	return &scanIter{cols: s.ColNames, parts: parts, batchSize: ex.opts.BatchSize, m: ex.metrics, share: share, ctrl: ctrl}, nil
+	return &scanIter{cols: s.ColNames, parts: parts, batchSize: ex.opts.BatchSize, m: ex.metrics, share: ex.share, ctrl: ctrl}, nil
 }
 
 // decodePartition is the single decode entry point for both scan leaves:
-// through the scan-share session when sharing is on, directly otherwise.
+// through the scan-share manager when sharing is on, directly otherwise.
 // Physical decode accounting (Metrics.Share) is charged either way, so
 // shared-vs-unshared BytesDecoded comparisons are meaningful.
-func decodePartition(p *storage.Partition, cols []string, share *scanshare.Scan, stop <-chan struct{}, m *Metrics) ([][]types.Value, error) {
+func decodePartition(p *storage.Partition, cols []string, share *scanshare.Manager, stop <-chan struct{}, m *Metrics) ([][]types.Value, error) {
 	if share != nil {
-		return share.Decode(p, stop)
+		return share.Decode(p, cols, stop, &m.Share)
 	}
 	decoded, err := p.DecodeColumns(cols)
 	if err != nil {
@@ -189,7 +173,7 @@ type scanIter struct {
 	parts     []*storage.Partition
 	batchSize int
 	m         *Metrics
-	share     *scanshare.Scan
+	share     *scanshare.Manager
 	ctrl      *skipController
 
 	part    int

@@ -14,11 +14,11 @@ import (
 // ShapeCache memoizes the expensive half of AnalyzeChain — the
 // ScanPartitions replay over partition metadata that computes a chain's
 // as-if-solo Storage charge and pruned cardinality — keyed by a plan
-// fingerprint at the store's data epoch. Fused groups call AnalyzeChain
-// once per member per run, and every member of a duplicate-query batch (the
-// paper's concurrent-dashboards motivation) shares one fingerprint, so the
-// partition walk happens once per distinct shape per data version instead
-// of once per member per run.
+// fingerprint at the scanned table's version (storage.TableData.Version).
+// Fused groups call AnalyzeChain once per member per run, and every member
+// of a duplicate-query batch (the paper's concurrent-dashboards motivation)
+// shares one fingerprint, so the partition walk happens once per distinct
+// shape per table version instead of once per member per run.
 //
 // The fingerprint must be stable across independently bound plans, whose
 // column IDs are fresh per query. It therefore keys only bind-stable
@@ -31,22 +31,25 @@ import (
 // construction. Stage counts are NOT cached — they are cheap to
 // recompute and belong to the individual plan.
 //
-// The cache holds one epoch's entries: only the newest epoch can ever hit
-// again, so the first analysis at a newer epoch drops every older entry,
-// and analyses at an older epoch (a run that pinned its snapshot before an
-// Append) are computed but not stored. Entries are bounded by the number of
-// distinct shapes at the live epoch.
+// The cache holds, per table, the shapes of the newest version it has
+// analyzed: only that version can ever hit again, so the first analysis at
+// a newer version of a table drops that table's entries, and analyses at an
+// older version (a run that pinned its snapshot before an Append) are
+// computed but not stored. An Append to one table leaves every other
+// table's shapes cached. Entries are bounded by the number of distinct
+// shapes at each table's newest version.
 type ShapeCache struct {
-	mu      sync.Mutex
-	epoch   int64
-	entries map[shapeKey]shapeEntry
-	hits    atomic.Int64
-	misses  atomic.Int64
+	mu       sync.Mutex
+	versions map[string]int64 // per table: the version its entries are at
+	entries  map[shapeKey]shapeEntry
+	hits     atomic.Int64
+	misses   atomic.Int64
 }
 
 type shapeKey struct {
-	scan string // table and scanned column names
-	cond uint64 // expr.Key of the rewritten prune predicate
+	table string
+	cols  string // scanned column names
+	cond  uint64 // expr.Key of the rewritten prune predicate
 }
 
 type shapeEntry struct {
@@ -57,7 +60,7 @@ type shapeEntry struct {
 
 // NewShapeCache creates an empty cache.
 func NewShapeCache() *ShapeCache {
-	return &ShapeCache{entries: make(map[shapeKey]shapeEntry)}
+	return &ShapeCache{versions: make(map[string]int64), entries: make(map[shapeKey]shapeEntry)}
 }
 
 // Hits and Misses report cache effectiveness (for tests and benchmarks).
@@ -81,7 +84,7 @@ var shapeFPCol = expr.NewColumn("$shapefp", types.KindUnknown)
 // ok=false means the chain cannot be fingerprinted (never happens for
 // compileChain output, but kept as a guard).
 func chainFingerprint(cs *chainSpec) (shapeKey, expr.Expr, bool) {
-	k := shapeKey{scan: cs.scan.Table.Name + "|" + strings.Join(cs.scan.ColNames, ",")}
+	k := shapeKey{table: cs.scan.Table.Name, cols: strings.Join(cs.scan.ColNames, ",")}
 	if cs.pruneCond == nil {
 		return k, nil, true
 	}
@@ -93,10 +96,27 @@ func chainFingerprint(cs *chainSpec) (shapeKey, expr.Expr, bool) {
 	return k, cond, true
 }
 
+// currentLocked reports whether version is the newest version of table the
+// cache has seen, first dropping the table's entries when it is newer than
+// theirs.
+func (c *ShapeCache) currentLocked(table string, version int64) bool {
+	cur := c.versions[table]
+	if version > cur {
+		c.versions[table] = version
+		for k := range c.entries {
+			if k.table == table {
+				delete(c.entries, k)
+			}
+		}
+		return true
+	}
+	return version == cur
+}
+
 // AnalyzeChain is exec.AnalyzeChain through the cache: recognition and
 // stage layout are computed fresh (cheap, plan-specific), while the
 // partition-metadata replay is served from cache when an equal-fingerprint
-// chain was analyzed at the snapshot's epoch.
+// chain was analyzed at the scanned table's version in snap.
 func (c *ShapeCache) AnalyzeChain(root logical.Operator, snap *storage.Snapshot) (*ChainShape, bool, error) {
 	cs, ok := compileChain(root)
 	if !ok {
@@ -109,19 +129,18 @@ func (c *ShapeCache) AnalyzeChain(root logical.Operator, snap *storage.Snapshot)
 			break
 		}
 	}
-	// A snapshot's epoch names exactly the partition sets it walks, so an
-	// entry never holds data from another epoch.
+	// A version names exactly the partition set the snapshot walks, so an
+	// entry never holds another version's data.
 	fp, cond, fpOK := chainFingerprint(cs)
-	epoch := snap.Epoch()
+	td := snap.Data(fp.table)
+	fpOK = fpOK && td != nil
 	if fpOK {
 		c.mu.Lock()
-		if epoch > c.epoch {
-			c.epoch = epoch
-			clear(c.entries)
-		}
-		e, hit := c.entries[fp]
-		if epoch != c.epoch || !expr.Equivalent(e.cond, cond) {
-			hit = false
+		var e shapeEntry
+		hit := false
+		if c.currentLocked(fp.table, td.Version) {
+			e, hit = c.entries[fp]
+			hit = hit && expr.Equivalent(e.cond, cond)
 		}
 		c.mu.Unlock()
 		if hit {
@@ -141,7 +160,7 @@ func (c *ShapeCache) AnalyzeChain(root logical.Operator, snap *storage.Snapshot)
 	c.misses.Add(1)
 	if fpOK {
 		c.mu.Lock()
-		if epoch == c.epoch {
+		if c.currentLocked(fp.table, td.Version) {
 			c.entries[fp] = shapeEntry{cond: cond, storage: sh.Storage, prunedRows: sh.PrunedRows}
 		}
 		c.mu.Unlock()

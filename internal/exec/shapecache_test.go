@@ -94,8 +94,8 @@ func TestShapeCacheEpochInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reloading the table (Load replaces its data) bumps the store epoch;
-	// the cached charge for the old epoch must not be served for the new
+	// Reloading the table (Load replaces its data) gives it a new version;
+	// the cached charge for the old version must not be served for the new
 	// data.
 	var rows [][]types.Value
 	for i := 0; i < 6; i++ {
@@ -111,7 +111,7 @@ func TestShapeCacheEpochInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.Hits() != 0 || c.Misses() != 2 {
-		t.Fatalf("hits/misses = %d/%d, want 0/2 (stale epoch served)", c.Hits(), c.Misses())
+		t.Fatalf("hits/misses = %d/%d, want 0/2 (stale version served)", c.Hits(), c.Misses())
 	}
 	if before.PrunedRows != 12 || after.PrunedRows != 6 {
 		t.Fatalf("PrunedRows before/after reload = %d/%d, want 12/6", before.PrunedRows, after.PrunedRows)
@@ -125,9 +125,9 @@ func TestShapeCacheEpochInvalidation(t *testing.T) {
 		t.Fatalf("cached %+v != uncached %+v after reload", *after, *want)
 	}
 
-	// Appends strand the previous epoch's entries: after k appends, each
-	// followed by analyses of the same two shapes, the cache holds exactly
-	// the live epoch's two shapes.
+	// Appends strand the table's previous version's entries: after k
+	// appends, each followed by analyses of the same two shapes, the cache
+	// holds exactly the live version's two shapes.
 	for k := 0; k < 5; k++ {
 		if err := st.Append("sales", rows[:2]); err != nil {
 			t.Fatal(err)
@@ -138,7 +138,7 @@ func TestShapeCacheEpochInvalidation(t *testing.T) {
 			}
 		}
 		if got := c.Len(); got != 2 {
-			t.Fatalf("after append %d: %d cached shapes, want the live epoch's 2", k+1, got)
+			t.Fatalf("after append %d: %d cached shapes, want the live version's 2", k+1, got)
 		}
 	}
 
@@ -159,5 +159,44 @@ func TestShapeCacheEpochInvalidation(t *testing.T) {
 	if stale.PrunedRows != live.PrunedRows-2 || c.Len() != 1 {
 		t.Fatalf("old-snapshot PrunedRows %d vs live %d, %d cached shapes; want live-2 and 1",
 			stale.PrunedRows, live.PrunedRows, c.Len())
+	}
+}
+
+// TestShapeCacheKeepsOtherTables: an append to one table invalidates only
+// that table's shapes; the cached shapes of every other table keep hitting.
+func TestShapeCacheKeepsOtherTables(t *testing.T) {
+	st := fixture(t)
+	c := NewShapeCache()
+	itemChain := func() logical.Operator {
+		s := scanOf(t, st, "item")
+		return logical.NewFilter(s, expr.NewBinary(expr.OpGt, expr.Ref(s.ColumnFor("i_item")), expr.Lit(types.Int(0))))
+	}
+	for _, plan := range []logical.Operator{chainPlan(t, st, 2, 3), itemChain()} {
+		if _, _, err := c.AnalyzeChain(plan, st.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Append("item", [][]types.Value{{types.Int(9), types.String("omega")}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.AnalyzeChain(chainPlan(t, st, 2, 3), st.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if c.Hits() != 1 {
+		t.Fatalf("sales shape missed after an append to item (hits %d, want 1)", c.Hits())
+	}
+	got, _, err := c.AnalyzeChain(itemChain(), st.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := AnalyzeChain(itemChain(), st.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Hits() != 1 || *got != *want {
+		t.Fatalf("item shape after its append: hits %d, %+v vs uncached %+v", c.Hits(), *got, *want)
+	}
+	if c.Len() != 2 {
+		t.Fatalf("%d cached shapes, want 2 (sales kept, item replaced)", c.Len())
 	}
 }

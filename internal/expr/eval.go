@@ -2,7 +2,6 @@ package expr
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/types"
 )
@@ -238,13 +237,4 @@ func EvalConst(e Expr) (types.Value, bool) {
 		return types.Value{}, false
 	}
 	return Eval(e, nil), true
-}
-
-// FormatList renders a list of expressions comma-separated.
-func FormatList(es []Expr) string {
-	parts := make([]string, len(es))
-	for i, e := range es {
-		parts[i] = e.String()
-	}
-	return strings.Join(parts, ", ")
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/logical"
-	"repro/internal/storage"
 	"repro/internal/types"
 )
 
@@ -203,21 +202,4 @@ func (p *printer) node(op logical.Operator) (m expr.Mapping, table string, depth
 		return nil, "", 0, false
 	}
 	return m, table, depth, true
-}
-
-// signature renders the table's current partition-set version: its ordered
-// partition Seq numbers. Two signatures are equal exactly when the table's
-// partition set is unchanged, so entries survive appends to other tables.
-// ok is false when the table has no data loaded.
-func signature(st *storage.Store, table string) (string, bool) {
-	seqs, ok := st.PartitionSeqs(table)
-	if !ok {
-		return "", false
-	}
-	var b strings.Builder
-	for _, s := range seqs {
-		b.WriteString(strconv.FormatInt(s, 36))
-		b.WriteByte(',')
-	}
-	return b.String(), true
 }

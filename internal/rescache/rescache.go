@@ -8,14 +8,13 @@
 // equal sub-plans are served straight from cache, skipping scan, decode and
 // evaluation entirely.
 //
-// Entries are keyed by a canonical plan fingerprint and validated against
-// the scanned table's partition-set signature (ordered storage.Partition
-// Seq numbers). A runtime Append to the scanned table changes the signature
-// and invalidates the entry lazily on next lookup; appends to other tables
-// leave it untouched. Capture is snapshot-validated: the signature is read
-// before the sub-plan enumerates partitions and re-checked at offer time,
-// so a mutation racing the computation can at worst produce a dead entry,
-// never a stale hit.
+// Entries are keyed by a canonical plan fingerprint and carry the version
+// (storage.TableData.Version) of the scanned table in the read view the
+// result was computed from. A transaction takes that version from the
+// run's own storage.Snapshot, which every scan of the run reads, so an
+// entry's rows are exactly the result over that version. A runtime Append
+// to the scanned table gives it a new version: later runs miss and drop the
+// entry lazily, while appends to other tables leave it untouched.
 //
 // Eviction is GreedyDual-Size: each entry carries priority H = clock +
 // cost/bytes; eviction removes the minimum-H entry and advances the clock
@@ -60,9 +59,9 @@ type Entry struct {
 
 type cacheEntry struct {
 	Entry
-	sig   string
-	exprs []expr.Expr // the fingerprint's expressions, which confirm a hit
-	h     float64     // GreedyDual-Size priority: clock-at-touch + cost/bytes
+	version int64       // the scanned table's version the rows were computed at
+	exprs   []expr.Expr // the fingerprint's expressions, which confirm a hit
+	h       float64     // GreedyDual-Size priority: clock-at-touch + cost/bytes
 }
 
 // Cache is a size-bounded semantic result cache over one store.
@@ -104,21 +103,19 @@ func (c *Cache) Stats() (entries int, bytes int64) {
 }
 
 // Tx is one sub-plan's cache interaction: Begin fingerprints the plan and
-// snapshots the scanned table's partition-set signature (before the caller
-// enumerates any partition — the ordering that makes capture race-safe),
-// Lookup probes for a valid entry, and Offer proposes a computed result
-// for admission.
+// reads the scanned table's version from the run's snapshot, Lookup probes
+// for an entry at that version, and Offer proposes a result computed from
+// the same snapshot for admission.
 type Tx struct {
-	c     *Cache
-	store *storage.Store
-	fp    fingerprint
-	table string
-	sig   string
+	c       *Cache
+	fp      fingerprint
+	version int64
 }
 
-// Begin starts a cache transaction for op. It returns nil when op is not
-// an eligible sub-plan shape or its table has no data.
-func (c *Cache) Begin(op logical.Operator, store *storage.Store) *Tx {
+// Begin starts a cache transaction for op, to be computed (on a miss) from
+// snap. It returns nil when op is not an eligible sub-plan shape or its
+// table has no data in snap.
+func (c *Cache) Begin(op logical.Operator, snap *storage.Snapshot) *Tx {
 	if c == nil || c.cap <= 0 {
 		return nil
 	}
@@ -126,19 +123,17 @@ func (c *Cache) Begin(op logical.Operator, store *storage.Store) *Tx {
 	if !ok {
 		return nil
 	}
-	sig, ok := signature(store, table)
-	if !ok {
+	td := snap.Data(table)
+	if td == nil {
 		return nil
 	}
-	return &Tx{c: c, store: store, fp: fp, table: table, sig: sig}
+	return &Tx{c: c, fp: fp, version: td.Version}
 }
 
-// Table returns the base table the sub-plan scans.
-func (tx *Tx) Table() string { return tx.table }
-
-// Lookup returns the cached entry for this sub-plan if one exists and its
-// partition-set signature still matches the live table. A signature
-// mismatch deletes the stale entry (lazy invalidation) and reports a miss.
+// Lookup returns the cached entry for this sub-plan if one exists at the
+// transaction's table version. An entry from an older version can never
+// hit again and is dropped (lazy invalidation); one from a newer version
+// (this run's snapshot predates an Append) is kept and reported as a miss.
 func (tx *Tx) Lookup() (*Entry, bool) {
 	c := tx.c
 	c.mu.Lock()
@@ -147,9 +142,11 @@ func (tx *Tx) Lookup() (*Entry, bool) {
 	if !ok {
 		return nil, false
 	}
-	if e.sig != tx.sig {
-		c.bytes -= e.Bytes
-		delete(c.entries, tx.fp.key)
+	if e.version != tx.version {
+		if e.version < tx.version {
+			c.bytes -= e.Bytes
+			delete(c.entries, tx.fp.key)
+		}
 		return nil, false
 	}
 	if !tx.fp.matches(e.exprs) {
@@ -205,8 +202,8 @@ func (c *Cache) AdmissionFloor() float64 {
 // from here on. bytes is the caller-accounted result size. It returns
 // whether the entry was admitted and how many entry bytes were evicted to
 // make room; a rejection (cost density below the threshold, result too
-// large, or the table's partition set changed while the result was being
-// computed) evicts nothing.
+// large, or an entry from a newer table version already cached) evicts
+// nothing.
 func (tx *Tx) Offer(rows [][]types.Value, bytes int64, cost CostMetrics) (admitted bool, evictedBytes int64) {
 	c := tx.c
 	if bytes > c.MaxEntryBytes() {
@@ -222,14 +219,12 @@ func (tx *Tx) Offer(rows [][]types.Value, bytes int64, cost CostMetrics) (admitt
 	if density(cost, bytes) < floor {
 		return false, 0
 	}
-	// Snapshot validation: if the partition set changed since Begin, the
-	// result may mix pre- and post-append partitions — never admit it.
-	if sig, ok := signature(tx.store, tx.table); !ok || sig != tx.sig {
-		return false, 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old, ok := c.entries[tx.fp.key]; ok {
+		if old.version > tx.version {
+			return false, 0
+		}
 		c.bytes -= old.Bytes
 		delete(c.entries, tx.fp.key)
 	}
@@ -240,10 +235,10 @@ func (tx *Tx) Offer(rows [][]types.Value, bytes int64, cost CostMetrics) (admitt
 		return false, evictedBytes
 	}
 	c.entries[tx.fp.key] = &cacheEntry{
-		Entry: Entry{Rows: rows, Cost: cost, Bytes: bytes},
-		sig:   tx.sig,
-		exprs: tx.fp.exprs,
-		h:     c.clock + density(cost, bytes),
+		Entry:   Entry{Rows: rows, Cost: cost, Bytes: bytes},
+		version: tx.version,
+		exprs:   tx.fp.exprs,
+		h:       c.clock + density(cost, bytes),
 	}
 	c.bytes += bytes
 	return true, evictedBytes
@@ -268,16 +263,4 @@ func (c *Cache) evictMinLocked() int64 {
 	c.bytes -= victim.Bytes
 	delete(c.entries, victimKey)
 	return victim.Bytes
-}
-
-// RowBytes is the accounted size of one result row: a fixed per-value
-// overhead (the in-memory Value footprint) plus string payloads. Callers
-// accumulate it during capture so oversized results can be abandoned
-// mid-stream.
-func RowBytes(row []types.Value) int64 {
-	n := int64(0)
-	for _, v := range row {
-		n += 24 + int64(len(v.S))
-	}
-	return n
 }

@@ -62,7 +62,7 @@ func rowsOfBytes(n int, payload int) ([][]types.Value, int64) {
 	var b int64
 	for i := range rows {
 		rows[i] = []types.Value{types.String(string(make([]byte, payload)))}
-		b += RowBytes(rows[i])
+		b += types.ResidentBytes(rows[i])
 	}
 	return rows, b
 }
@@ -107,12 +107,12 @@ func TestFingerprintRejectsIneligibleShapes(t *testing.T) {
 func TestAdmissionRejectsCheapBulkyResults(t *testing.T) {
 	st := testStore(t)
 	c := New(1 << 20)
-	tx := c.Begin(chainPlan(t, st, 0), st)
+	tx := c.Begin(chainPlan(t, st, 0), st.Snapshot())
 	if tx == nil {
 		t.Fatal("Begin = nil for eligible plan")
 	}
 	// 100 logical rows producing 8000 result bytes: density 0.0125 < 1/8.
-	rows, bytes := rowsOfBytes(100, 56)
+	rows, bytes := rowsOfBytes(100, 40)
 	admitted, evicted := tx.Offer(rows, bytes, CostMetrics{RowsScanned: 50, RowsProcessed: 50})
 	if admitted || evicted != 0 {
 		t.Fatalf("cheap bulky result admitted=%v evicted=%d", admitted, evicted)
@@ -129,8 +129,8 @@ func TestAdmissionRejectsCheapBulkyResults(t *testing.T) {
 func TestAdmissionRejectsOversizedResults(t *testing.T) {
 	st := testStore(t)
 	c := New(1024) // MaxEntryBytes = 256
-	tx := c.Begin(chainPlan(t, st, 0), st)
-	rows, bytes := rowsOfBytes(20, 8) // 640 bytes > 256
+	tx := c.Begin(chainPlan(t, st, 0), st.Snapshot())
+	rows, bytes := rowsOfBytes(20, 8) // 960 bytes > 256
 	if admitted, _ := tx.Offer(rows, bytes, CostMetrics{RowsScanned: 1 << 20}); admitted {
 		t.Fatal("entry above MaxEntryBytes admitted")
 	}
@@ -147,8 +147,8 @@ func TestEvictionOrderGreedyDualSize(t *testing.T) {
 	c := New(2048)
 	offer := func(lim int64, costRows int64) *Tx {
 		t.Helper()
-		tx := c.Begin(chainPlan(t, st, lim), st)
-		rows, bytes := rowsOfBytes(10, 26) // 500 bytes each
+		tx := c.Begin(chainPlan(t, st, lim), st.Snapshot())
+		rows, bytes := rowsOfBytes(10, 10) // 500 bytes each
 		admitted, _ := tx.Offer(rows, bytes, CostMetrics{RowsScanned: costRows})
 		if !admitted {
 			t.Fatalf("offer(lim=%d) rejected", lim)
@@ -193,7 +193,7 @@ func TestEvictionOrderGreedyDualSize(t *testing.T) {
 func TestAppendInvalidatesOnlyTouchedTable(t *testing.T) {
 	st := testStore(t)
 	c := New(1 << 20)
-	tx := c.Begin(chainPlan(t, st, 5), st)
+	tx := c.Begin(chainPlan(t, st, 5), st.Snapshot())
 	rows, bytes := rowsOfBytes(4, 8)
 	if admitted, _ := tx.Offer(rows, bytes, CostMetrics{RowsScanned: 1 << 20}); !admitted {
 		t.Fatal("offer rejected")
@@ -202,14 +202,14 @@ func TestAppendInvalidatesOnlyTouchedTable(t *testing.T) {
 	if err := st.Append("g", [][]types.Value{{types.Int(2)}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Begin(chainPlan(t, st, 5), st).Lookup(); !ok {
+	if _, ok := c.Begin(chainPlan(t, st, 5), st.Snapshot()).Lookup(); !ok {
 		t.Fatal("append to g invalidated an entry over f")
 	}
 	// Append to the scanned table: lazy invalidation on next lookup.
 	if err := st.Append("f", [][]types.Value{{types.Int(1), types.Int(99), types.Int(0)}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Begin(chainPlan(t, st, 5), st).Lookup(); ok {
+	if _, ok := c.Begin(chainPlan(t, st, 5), st.Snapshot()).Lookup(); ok {
 		t.Fatal("stale entry served after append to f")
 	}
 	if n, _ := c.Stats(); n != 0 {
@@ -217,22 +217,45 @@ func TestAppendInvalidatesOnlyTouchedTable(t *testing.T) {
 	}
 }
 
-// TestOfferRejectsRacingAppend begins a transaction, mutates the table
+// TestOfferRejectsRacingAppend begins a transaction, appends to the table
 // before the offer (the append-raced-the-computation window), and verifies
-// the snapshot revalidation refuses the mixed-epoch result.
+// that the result, computed from the pre-append snapshot, is never served
+// to a run reading the table after the append — while a run still reading
+// the pre-append snapshot may use it, and a stale offer never displaces a
+// newer version's entry.
 func TestOfferRejectsRacingAppend(t *testing.T) {
 	st := testStore(t)
 	c := New(1 << 20)
-	tx := c.Begin(chainPlan(t, st, 5), st)
+	pre := st.Snapshot()
+	tx := c.Begin(chainPlan(t, st, 5), pre)
 	if err := st.Append("f", [][]types.Value{{types.Int(1), types.Int(99), types.Int(0)}}); err != nil {
 		t.Fatal(err)
 	}
 	rows, bytes := rowsOfBytes(4, 8)
-	if admitted, _ := tx.Offer(rows, bytes, CostMetrics{RowsScanned: 1 << 20}); admitted {
-		t.Fatal("offer admitted a result computed across an append")
+	if admitted, _ := tx.Offer(rows, bytes, CostMetrics{RowsScanned: 1 << 20}); !admitted {
+		t.Fatal("offer over a consistent snapshot rejected")
+	}
+	if _, ok := c.Begin(chainPlan(t, st, 5), pre).Lookup(); !ok {
+		t.Fatal("a run on the pre-append snapshot missed the entry computed from it")
+	}
+	post := c.Begin(chainPlan(t, st, 5), st.Snapshot())
+	if _, ok := post.Lookup(); ok {
+		t.Fatal("pre-append result served after the append")
 	}
 	if n, _ := c.Stats(); n != 0 {
-		t.Fatalf("rejected offer left %d entries", n)
+		t.Fatalf("pre-append entry not dropped by a post-append lookup: %d entries", n)
+	}
+	if admitted, _ := post.Offer(rows, bytes, CostMetrics{RowsScanned: 1 << 20}); !admitted {
+		t.Fatal("post-append offer rejected")
+	}
+	if admitted, _ := c.Begin(chainPlan(t, st, 5), pre).Offer(rows, bytes, CostMetrics{RowsScanned: 1 << 20}); admitted {
+		t.Fatal("a pre-append offer displaced the post-append entry")
+	}
+	if _, ok := c.Begin(chainPlan(t, st, 5), pre).Lookup(); ok {
+		t.Fatal("pre-append run served the post-append entry")
+	}
+	if _, ok := c.Begin(chainPlan(t, st, 5), st.Snapshot()).Lookup(); !ok {
+		t.Fatal("post-append entry lost to a pre-append lookup or offer")
 	}
 }
 
@@ -240,7 +263,7 @@ func TestReplaceSameFingerprint(t *testing.T) {
 	st := testStore(t)
 	c := New(1 << 20)
 	for i := 0; i < 3; i++ {
-		tx := c.Begin(chainPlan(t, st, 5), st)
+		tx := c.Begin(chainPlan(t, st, 5), st.Snapshot())
 		rows, bytes := rowsOfBytes(4+i, 8)
 		if admitted, _ := tx.Offer(rows, bytes, CostMetrics{RowsScanned: 1 << 20}); !admitted {
 			t.Fatalf("offer %d rejected", i)
@@ -250,30 +273,30 @@ func TestReplaceSameFingerprint(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("same-fingerprint offers accumulated %d entries", n)
 	}
-	if want := int64(6 * 32); b != want {
+	if _, want := rowsOfBytes(6, 8); b != want {
 		t.Fatalf("bytes = %d, want %d (latest entry only)", b, want)
 	}
 }
 
 func TestBeginNilCases(t *testing.T) {
 	st := testStore(t)
-	if tx := (*Cache)(nil).Begin(chainPlan(t, st, 1), st); tx != nil {
+	if tx := (*Cache)(nil).Begin(chainPlan(t, st, 1), st.Snapshot()); tx != nil {
 		t.Fatal("nil cache began a transaction")
 	}
-	if tx := New(0).Begin(chainPlan(t, st, 1), st); tx != nil {
+	if tx := New(0).Begin(chainPlan(t, st, 1), st.Snapshot()); tx != nil {
 		t.Fatal("zero-capacity cache began a transaction")
 	}
 	c := New(1 << 20)
-	if tx := c.Begin(&logical.Values{}, st); tx != nil {
+	if tx := c.Begin(&logical.Values{}, st.Snapshot()); tx != nil {
 		t.Fatal("ineligible shape began a transaction")
 	}
-	// A table with no data has no signature.
+	// A table with no data has no version.
 	cat := catalog.New()
 	cat.MustAdd(&catalog.Table{Name: "f", Columns: []catalog.Column{
 		{Name: "k", Type: types.KindInt64}, {Name: "v", Type: types.KindInt64}, {Name: "d", Type: types.KindInt64},
 	}})
 	empty := storage.NewStore(cat)
-	if tx := c.Begin(chainPlan(t, st, 1), empty); tx != nil {
+	if tx := c.Begin(chainPlan(t, st, 1), empty.Snapshot()); tx != nil {
 		t.Fatal("empty table began a transaction")
 	}
 }
@@ -284,15 +307,15 @@ func TestBeginNilCases(t *testing.T) {
 func TestLookupConfirmsKeyWithExpressions(t *testing.T) {
 	st := testStore(t)
 	c := New(1 << 20)
-	tx := c.Begin(chainPlan(t, st, 5), st)
+	tx := c.Begin(chainPlan(t, st, 5), st.Snapshot())
 	rows, bytes := rowsOfBytes(4, 8)
 	if admitted, _ := tx.Offer(rows, bytes, CostMetrics{RowsScanned: 1 << 20}); !admitted {
 		t.Fatal("offer rejected")
 	}
-	if _, hit := c.Begin(chainPlan(t, st, 5), st).Lookup(); !hit {
+	if _, hit := c.Begin(chainPlan(t, st, 5), st.Snapshot()).Lookup(); !hit {
 		t.Fatal("same sub-plan missed")
 	}
-	other := c.Begin(chainPlan(t, st, 6), st)
+	other := c.Begin(chainPlan(t, st, 6), st.Snapshot())
 	other.fp.key = tx.fp.key
 	if _, hit := other.Lookup(); hit {
 		t.Fatal("a key collision served another predicate's result")

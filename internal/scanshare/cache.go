@@ -6,23 +6,6 @@ import (
 	"repro/internal/types"
 )
 
-// valueOverhead approximates the in-memory footprint of one types.Value
-// (struct fields plus slice bookkeeping); string payloads are added on top.
-const valueOverhead = 48
-
-// decodedSize estimates the resident size of a decoded chunk, which is what
-// the cache bound accounts — decoded vectors are several times larger than
-// their encoded form, and the bound must track what is actually held.
-func decodedSize(vals []types.Value, kind types.Kind) int64 {
-	size := int64(len(vals)) * valueOverhead
-	if kind == types.KindString {
-		for i := range vals {
-			size += int64(len(vals[i].S))
-		}
-	}
-	return size
-}
-
 // chunkCache is a size-accounted LRU over decoded column chunks. It is not
 // internally locked; the Manager's mutex guards it.
 type chunkCache struct {
@@ -55,15 +38,18 @@ func (c *chunkCache) get(key chunkKey) ([]types.Value, bool) {
 	return el.Value.(*cacheEntry).vals, true
 }
 
-// put inserts a decoded chunk, evicting least-recently-used entries until
-// the bound holds. Chunks larger than the whole cache are not admitted.
+// put inserts a decoded chunk, accounted at its resident size (decoded
+// vectors are several times larger than their encoded form, and the bound
+// must track what is actually held), evicting least-recently-used entries
+// until the bound holds. Chunks larger than the whole cache are not
+// admitted.
 // Eviction only drops the cache's reference: queries already holding the
 // vector keep it alive, so eviction is always safe mid-use.
-func (c *chunkCache) put(key chunkKey, vals []types.Value, kind types.Kind) {
+func (c *chunkCache) put(key chunkKey, vals []types.Value) {
 	if _, ok := c.entries[key]; ok {
 		return // another leader raced us in; keep the resident entry
 	}
-	size := decodedSize(vals, kind)
+	size := types.ResidentBytes(vals)
 	if size > c.capacity {
 		return
 	}

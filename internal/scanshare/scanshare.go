@@ -3,31 +3,26 @@
 // chunks instead of each paying it independently (the multi-query reuse
 // direction the fusion paper names in §I).
 //
-// Three mechanisms compose, cheapest first:
+// Two mechanisms compose, cheapest first:
 //
 //  1. A bounded, size-accounted LRU cache of decoded column chunks, keyed by
-//     (partition, column). Partitions are immutable after Load — reloading a
-//     table allocates fresh Partition values — so cache entries can never go
-//     stale; they simply stop being referenced and age out.
+//     (Partition.Seq, column). Partitions are immutable and every published
+//     partition gets a fresh Seq, so cache entries can never go stale; a
+//     replaced table's chunks simply stop being requested and age out.
 //  2. In-flight decode attach: when one query is currently decoding a chunk,
 //     a late-arriving query attaches to that flight and waits for the
 //     decoded vector instead of re-decoding. Flights exist only while a
 //     leader is actively decoding, so every wait is bounded by one chunk
 //     decode; a waiter whose own query is abandoned (LIMIT, error) detaches
 //     via its stop channel.
-//  3. Morsel-stream attach: each scan registers its (table, partition-set,
-//     column-set) stream; a compatible late arrival subscribes and receives
-//     decoded partition chunks through a bounded per-subscriber queue as the
-//     publisher produces them, pinning them for that subscriber even when
-//     the global cache is too small to retain them. Queues never block the
-//     publisher — a full queue drops the chunk and the subscriber falls back
-//     to the cache, a flight, or its own decode.
 //
-// Because subscribers receive the same immutable decoded vectors the
-// publisher produced (never partially decoded state), a shared scan is
-// value-identical to an unshared one; each query still windows the vectors
-// into its own batches in its own partition order, so ordered delivery and
-// LIMIT early-exit semantics are untouched.
+// Concurrent scans of the same partitions therefore share through the
+// flight table while one of them decodes and through the cache afterwards.
+// Every query receives the same immutable decoded vectors (never partially
+// decoded state), so a shared scan is value-identical to an unshared one;
+// each query still windows the vectors into its own batches in its own
+// partition order, so ordered delivery and LIMIT early-exit semantics are
+// untouched.
 package scanshare
 
 import (
@@ -63,8 +58,10 @@ type Counters struct {
 	SharedHits int64
 	// CacheHits counts chunks served from the decoded-chunk cache.
 	CacheHits int64
-	// StreamHits counts chunks received from a subscribed morsel stream's
-	// queue.
+	// StreamHits is always zero. It counted chunks received from another
+	// scan's morsel stream, a mechanism since removed: the cache and the
+	// in-flight attach served those chunks with no extra decode. The field
+	// stays because the dashboard benchmark (e2ebench) still reads it.
 	StreamHits int64
 }
 
@@ -76,17 +73,14 @@ func (c *Counters) AddDecoded(bytes int64) {
 
 func (c *Counters) addShared() { atomic.AddInt64(&c.SharedHits, 1) }
 func (c *Counters) addCache()  { atomic.AddInt64(&c.CacheHits, 1) }
-func (c *Counters) addStream() { atomic.AddInt64(&c.StreamHits, 1) }
 
-// chunkKey identifies one decoded column chunk. Partition pointers are
-// unique per Load and per Append (the store only ever creates fresh
-// Partition values and never mutates published ones), which is what makes
-// the key invalidation-safe under runtime mutation: a replaced table's old
-// chunks can never be returned for its new partitions, they just age out
-// of the LRU.
+// chunkKey identifies one decoded column chunk. Seqs are unique per
+// published partition within a store (and a Manager serves one store), so
+// a replaced table's old chunks can never be returned for its new
+// partitions; they just age out of the LRU.
 type chunkKey struct {
-	part *storage.Partition
-	col  string
+	seq int64
+	col string
 }
 
 // flight is one in-progress chunk decode. The leader fills vals/err and
@@ -98,13 +92,12 @@ type flight struct {
 }
 
 // Manager is the process-wide (per store) scan-share state: the decoded
-// chunk cache, the in-flight decode table and the stream registry. All
-// methods are safe for concurrent use by many queries.
+// chunk cache and the in-flight decode table. All methods are safe for
+// concurrent use by many queries.
 type Manager struct {
 	mu      sync.Mutex
 	cache   *chunkCache
 	flights map[chunkKey]*flight
-	streams map[string][]*stream
 	// flightsDone is broadcast whenever an in-flight decode resolves;
 	// Quiesce waits on it.
 	flightsDone sync.Cond
@@ -119,7 +112,6 @@ func NewManager(cacheBytes int64) *Manager {
 	m := &Manager{
 		cache:   newChunkCache(cacheBytes),
 		flights: make(map[chunkKey]*flight),
-		streams: make(map[string][]*stream),
 	}
 	m.flightsDone.L = &m.mu
 	return m
@@ -128,9 +120,7 @@ func NewManager(cacheBytes int64) *Manager {
 // Quiesce blocks until no chunk decode is in flight. Leaders resolve
 // flights with pure CPU work, so the wait is bounded by the slowest
 // in-progress decode — an engine shutting down calls it after draining its
-// own queries to guarantee no decode it led is still publishing. It does
-// NOT wait for other engines' open scans (streams), which can outlive this
-// engine legitimately when several engines share one store.
+// own queries to guarantee no decode it led is still publishing.
 func (m *Manager) Quiesce() {
 	m.mu.Lock()
 	for len(m.flights) > 0 {
@@ -157,34 +147,6 @@ func (m *Manager) CacheChunks() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.cache.order.Len()
-}
-
-// Open registers a scan of the given partitions and columns. If a
-// compatible stream is already in flight — same table and partition set,
-// column set covering cols — the scan additionally attaches to it as a
-// subscriber. The returned Scan is used by exactly one query run (its
-// Decode may be called from that run's workers concurrently) and must be
-// Closed after those workers have drained.
-func (m *Manager) Open(table string, parts []*storage.Partition, cols []string, ctr *Counters) *Scan {
-	s := &Scan{mgr: m, cols: append([]string(nil), cols...), ctr: ctr}
-	if len(parts) == 0 {
-		// Zero-partition scans have nothing to publish or receive.
-		return s
-	}
-	key := streamKeyFor(table, parts)
-	m.mu.Lock()
-	for _, st := range m.streams[key] {
-		if st.covers(cols) {
-			s.sub = newSubscription()
-			s.subStream = st
-			st.attach(s.sub)
-			break
-		}
-	}
-	s.pub = newStream(key, cols)
-	m.streams[key] = append(m.streams[key], s.pub)
-	m.mu.Unlock()
-	return s
 }
 
 // getChunk returns the decoded vector for one chunk: cache hit, in-flight
@@ -217,7 +179,7 @@ func (m *Manager) getChunk(key chunkKey, chunk *storage.ColumnChunk, stop <-chan
 	f.vals = chunk.DecodeAll(make([]types.Value, 0, chunk.Count))
 	m.mu.Lock()
 	delete(m.flights, key)
-	m.cache.put(key, f.vals, chunk.Kind)
+	m.cache.put(key, f.vals)
 	m.flightsDone.Broadcast()
 	m.mu.Unlock()
 	close(f.done)
@@ -225,92 +187,22 @@ func (m *Manager) getChunk(key chunkKey, chunk *storage.ColumnChunk, stop <-chan
 	return f.vals, nil
 }
 
-// Scan is one query run's handle on the share manager: a publisher of its
-// own morsel stream and, when it arrived while a compatible scan was in
-// flight, a subscriber of that scan's stream.
-type Scan struct {
-	mgr       *Manager
-	cols      []string
-	ctr       *Counters
-	pub       *stream
-	sub       *subscription
-	subStream *stream
-	closed    bool
-}
-
-// Decode returns the decoded column vectors for p in the scan's column
-// order, sharing work with concurrent queries wherever possible. stop, when
-// non-nil, abandons waits on other queries' in-flight decodes (returning
-// ErrStopped) once the caller's query has gone away. Safe for concurrent use
-// by one query's scan workers.
-func (s *Scan) Decode(p *storage.Partition, stop <-chan struct{}) ([][]types.Value, error) {
-	out := make([][]types.Value, len(s.cols))
-	var pubCols map[string][]types.Value
-	if s.pub != nil {
-		pubCols = make(map[string][]types.Value, len(s.cols))
-	}
-	for i, col := range s.cols {
-		key := chunkKey{part: p, col: col}
-		if s.sub != nil {
-			if vals, ok := s.sub.take(key); ok {
-				s.ctr.addStream()
-				out[i] = vals
-				if pubCols != nil {
-					pubCols[col] = vals
-				}
-				continue
-			}
-		}
+// Decode returns the decoded column vectors of p's cols, in that order,
+// sharing work with concurrent queries wherever possible and counting it in
+// ctr. stop, when non-nil, abandons waits on other queries' in-flight
+// decodes (returning ErrStopped) once the caller's query has gone away.
+func (m *Manager) Decode(p *storage.Partition, cols []string, stop <-chan struct{}, ctr *Counters) ([][]types.Value, error) {
+	out := make([][]types.Value, len(cols))
+	for i, col := range cols {
 		chunk := p.Chunk(col)
 		if chunk == nil {
 			return nil, fmt.Errorf("scanshare: partition has no column %q", col)
 		}
-		vals, err := s.mgr.getChunk(key, chunk, stop, s.ctr)
+		vals, err := m.getChunk(chunkKey{seq: p.Seq, col: col}, chunk, stop, ctr)
 		if err != nil {
 			return nil, err
 		}
 		out[i] = vals
-		if pubCols != nil {
-			pubCols[col] = vals
-		}
-	}
-	if s.pub != nil {
-		// Publish everything this scan obtained (decoded or not): late
-		// subscribers may have missed the original publication, and the
-		// cache may already have evicted it.
-		s.pub.publish(partChunk{part: p, cols: pubCols})
 	}
 	return out, nil
-}
-
-// Close detaches the scan: its stream stops accepting subscribers and is
-// removed from the registry, and its own subscription (if any) is dropped.
-// Call after the query's scan workers have drained; an abandoned scan
-// (LIMIT early exit) closes the stream with partitions unpublished, and
-// subscribers simply fall back to the cache or their own decodes.
-func (s *Scan) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	if s.pub != nil {
-		m := s.mgr
-		m.mu.Lock()
-		s.pub.finish()
-		live := m.streams[s.pub.key][:0]
-		for _, st := range m.streams[s.pub.key] {
-			if st != s.pub {
-				live = append(live, st)
-			}
-		}
-		if len(live) == 0 {
-			delete(m.streams, s.pub.key)
-		} else {
-			m.streams[s.pub.key] = live
-		}
-		m.mu.Unlock()
-	}
-	if s.sub != nil {
-		s.subStream.detach(s.sub)
-	}
 }

@@ -54,10 +54,10 @@ func wantDecoded(t *testing.T, p *storage.Partition, cols []string) [][]types.Va
 	return d
 }
 
-func decodeAll(t *testing.T, s *Scan, parts []*storage.Partition, cols []string) {
+func decodeAll(t *testing.T, mgr *Manager, ctr *Counters, parts []*storage.Partition, cols []string) {
 	t.Helper()
 	for _, p := range parts {
-		got, err := s.Decode(p, nil)
+		got, err := mgr.Decode(p, cols, nil, ctr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,59 +77,75 @@ func chunkBytes(parts []*storage.Partition, cols []string) int64 {
 	return total
 }
 
-// TestAttachMidFlight: a scan that opens while another is mid-stream gets
-// already-published partitions from the cache and subsequent ones from the
-// stream queue, decoding nothing itself.
+// TestAttachMidFlight: a scan that starts while another is mid-scan gets
+// the partitions already decoded from the cache, and a chunk still being
+// decoded by attaching to that flight, decoding nothing itself.
 func TestAttachMidFlight(t *testing.T) {
 	parts := newTestParts(t, 4, 20)
 	mgr := NewManager(0)
 	var ca, cb Counters
 
-	a := mgr.Open("t", parts, testCols, &ca)
-	decodeAll(t, a, parts[:2], testCols) // A is mid-flight: 2 of 4 partitions done
+	decodeAll(t, mgr, &ca, parts[:2], testCols) // A is mid-scan: 2 of 4 partitions done
 
-	b := mgr.Open("t", parts, testCols, &cb)
-	if b.sub == nil {
-		t.Fatal("B did not attach to A's in-flight stream")
-	}
-	// B replays partitions already published by A: cache hits.
-	decodeAll(t, b, parts[:2], testCols)
+	// B replays partitions A already decoded: cache hits.
+	decodeAll(t, mgr, &cb, parts[:2], testCols)
 	if cb.CacheHits != 4 {
 		t.Fatalf("CacheHits = %d, want 4 (2 partitions x 2 columns)", cb.CacheHits)
 	}
-	// A decodes the rest, publishing to B's queue; B consumes via the stream.
-	decodeAll(t, a, parts[2:], testCols)
-	decodeAll(t, b, parts[2:], testCols)
-	if cb.StreamHits != 4 {
-		t.Fatalf("StreamHits = %d, want 4 (2 partitions x 2 columns)", cb.StreamHits)
+	// A chunk someone is decoding right now: B waits on the flight instead
+	// of decoding it again. The flight is planted by hand, and stays in the
+	// table until B has returned, to pin the timing.
+	key := chunkKey{seq: parts[2].Seq, col: "a"}
+	f := &flight{done: make(chan struct{})}
+	mgr.mu.Lock()
+	mgr.flights[key] = f
+	mgr.mu.Unlock()
+	got := make(chan []types.Value, 1)
+	go func() {
+		vals, err := mgr.getChunk(key, parts[2].Chunk("a"), nil, &cb)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- vals
+	}()
+	f.vals = wantDecoded(t, parts[2], []string{"a"})[0]
+	close(f.done)
+	if vals := <-got; !reflect.DeepEqual(vals, f.vals) {
+		t.Fatal("flight waiter received different values")
+	}
+	mgr.mu.Lock()
+	delete(mgr.flights, key)
+	mgr.mu.Unlock()
+	if cb.SharedHits != 1 {
+		t.Fatalf("SharedHits = %d, want 1", cb.SharedHits)
+	}
+	// A decodes the rest; B then reads them from the cache.
+	decodeAll(t, mgr, &ca, parts[2:], testCols)
+	decodeAll(t, mgr, &cb, parts[2:], testCols)
+	if cb.CacheHits != 8 {
+		t.Fatalf("CacheHits = %d, want 8 (4 partitions x 2 columns)", cb.CacheHits)
 	}
 	if cb.BytesDecoded != 0 || cb.ChunksDecoded != 0 {
-		t.Fatalf("attached scan decoded %d chunks (%d bytes) itself, want 0", cb.ChunksDecoded, cb.BytesDecoded)
+		t.Fatalf("late scan decoded %d chunks (%d bytes) itself, want 0", cb.ChunksDecoded, cb.BytesDecoded)
+	}
+	if cb.StreamHits != 0 {
+		t.Fatalf("StreamHits = %d, want 0 (no morsel streams)", cb.StreamHits)
 	}
 	if want := chunkBytes(parts, testCols); ca.BytesDecoded != want {
-		t.Fatalf("publisher BytesDecoded = %d, want %d", ca.BytesDecoded, want)
+		t.Fatalf("first scan BytesDecoded = %d, want %d", ca.BytesDecoded, want)
 	}
-	a.Close()
-	b.Close()
 }
 
-// TestAttachAfterCompleted: a scan arriving after the stream finished finds
-// no stream to attach to but is served entirely from the chunk cache.
+// TestAttachAfterCompleted: a scan arriving after another finished is
+// served entirely from the chunk cache.
 func TestAttachAfterCompleted(t *testing.T) {
 	parts := newTestParts(t, 3, 15)
 	mgr := NewManager(0)
 	var ca, cb Counters
 
-	a := mgr.Open("t", parts, testCols, &ca)
-	decodeAll(t, a, parts, testCols)
-	a.Close()
+	decodeAll(t, mgr, &ca, parts, testCols)
 
-	b := mgr.Open("t", parts, testCols, &cb)
-	if b.sub != nil {
-		t.Fatal("B attached to a finished stream")
-	}
-	decodeAll(t, b, parts, testCols)
-	b.Close()
+	decodeAll(t, mgr, &cb, parts, testCols)
 	if cb.BytesDecoded != 0 {
 		t.Fatalf("late scan decoded %d bytes, want 0 (cache path)", cb.BytesDecoded)
 	}
@@ -138,27 +154,35 @@ func TestAttachAfterCompleted(t *testing.T) {
 	}
 }
 
-// TestSubscriberAbandonment: a subscriber that goes away early (LIMIT) must
-// not stall the publisher, and later scans still share normally.
+// TestSubscriberAbandonment: a flight waiter that goes away early (LIMIT)
+// returns ErrStopped without stalling the decoding leader, and later scans
+// still share normally.
 func TestSubscriberAbandonment(t *testing.T) {
 	parts := newTestParts(t, 5, 10)
 	mgr := NewManager(0)
 	var ca, cb, cc Counters
 
-	a := mgr.Open("t", parts, testCols, &ca)
-	decodeAll(t, a, parts[:1], testCols)
-	b := mgr.Open("t", parts, testCols, &cb)
-	decodeAll(t, b, parts[:1], testCols)
-	b.Close() // B hit its LIMIT and detached mid-stream
+	decodeAll(t, mgr, &ca, parts[:1], testCols)
+	// B waits on a flight for parts[1] and is abandoned mid-wait.
+	key := chunkKey{seq: parts[1].Seq, col: "a"}
+	f := &flight{done: make(chan struct{})}
+	mgr.mu.Lock()
+	mgr.flights[key] = f
+	mgr.mu.Unlock()
+	stop := make(chan struct{})
+	close(stop)
+	if _, err := mgr.Decode(parts[1], testCols, stop, &cb); err != ErrStopped {
+		t.Fatalf("abandoned waiter err = %v, want ErrStopped", err)
+	}
+	mgr.mu.Lock()
+	delete(mgr.flights, key)
+	mgr.mu.Unlock()
+	close(f.done)
 
-	// A keeps going: publishing to zero subscribers must be a no-op, and
-	// well past B's queue bound.
-	decodeAll(t, a, parts[1:], testCols)
-	a.Close()
+	// A keeps going unaffected.
+	decodeAll(t, mgr, &ca, parts[1:], testCols)
 
-	c := mgr.Open("t", parts, testCols, &cc)
-	decodeAll(t, c, parts, testCols)
-	c.Close()
+	decodeAll(t, mgr, &cc, parts, testCols)
 	if cc.BytesDecoded != 0 {
 		t.Fatalf("post-abandonment scan decoded %d bytes, want 0", cc.BytesDecoded)
 	}
@@ -169,13 +193,12 @@ func TestSubscriberAbandonment(t *testing.T) {
 func TestCacheEviction(t *testing.T) {
 	parts := newTestParts(t, 6, 10)
 	intCols := []string{"a"}
-	// Room for roughly two decoded 10-row int chunks (10*48=480 each).
+	// Room for two decoded 10-row int chunks (400 resident bytes each).
 	const capacity = 1000
 	mgr := NewManager(capacity)
 	var c Counters
 
-	s := mgr.Open("t", parts, intCols, &c)
-	decodeAll(t, s, parts, intCols)
+	decodeAll(t, mgr, &c, parts, intCols)
 	if mgr.CacheBytes() > capacity {
 		t.Fatalf("cache holds %d bytes, bound is %d", mgr.CacheBytes(), capacity)
 	}
@@ -184,68 +207,54 @@ func TestCacheEviction(t *testing.T) {
 	}
 	// parts[0] was evicted long ago: decoding it again is physical work.
 	before := c.ChunksDecoded
-	decodeAll(t, s, parts[:1], intCols)
+	decodeAll(t, mgr, &c, parts[:1], intCols)
 	if c.ChunksDecoded != before+1 {
 		t.Fatalf("evicted chunk not re-decoded: ChunksDecoded %d -> %d", before, c.ChunksDecoded)
 	}
-	s.Close()
 
 	// A chunk larger than the whole cache is never admitted.
 	tiny := NewManager(1)
 	var ct Counters
-	st := tiny.Open("t", parts, intCols, &ct)
-	decodeAll(t, st, parts[:1], intCols)
-	st.Close()
+	decodeAll(t, tiny, &ct, parts[:1], intCols)
 	if tiny.CacheChunks() != 0 || tiny.CacheBytes() != 0 {
 		t.Fatalf("oversized chunk admitted: %d chunks, %d bytes", tiny.CacheChunks(), tiny.CacheBytes())
 	}
 }
 
-// TestZeroPartitions: empty scans register nothing and close cleanly.
+// TestZeroPartitions: a scan over no partitions decodes nothing and
+// leaves no manager state behind.
 func TestZeroPartitions(t *testing.T) {
 	mgr := NewManager(0)
-	var c1, c2 Counters
-	a := mgr.Open("empty", nil, testCols, &c1)
-	if a.pub != nil || a.sub != nil {
-		t.Fatal("zero-partition scan registered a stream")
+	var c Counters
+	decodeAll(t, mgr, &c, nil, testCols)
+	if c != (Counters{}) {
+		t.Fatalf("zero-partition scan counted %+v", c)
 	}
-	b := mgr.Open("empty", nil, testCols, &c2)
-	a.Close()
-	a.Close() // double close is a no-op
-	b.Close()
-	if len(mgr.streams) != 0 {
-		t.Fatalf("stream registry not empty: %d entries", len(mgr.streams))
+	if len(mgr.flights) != 0 || mgr.CacheChunks() != 0 {
+		t.Fatalf("zero-partition scan left %d flights, %d cached chunks", len(mgr.flights), mgr.CacheChunks())
 	}
 }
 
-// TestColumnSubsetAttach: a scan needing a subset of an in-flight stream's
-// columns attaches; one needing more does not (but still shares chunks).
+// TestColumnSubsetAttach: scans over a subset or a superset of another
+// scan's columns share every chunk they have in common and decode only
+// their extra columns.
 func TestColumnSubsetAttach(t *testing.T) {
 	parts := newTestParts(t, 3, 10)
 	mgr := NewManager(0)
 	var ca, cb, cc Counters
 
-	a := mgr.Open("t", parts, []string{"a", "b"}, &ca)
-	sub := mgr.Open("t", parts, []string{"b"}, &cb)
-	if sub.sub == nil {
-		t.Fatal("column-subset scan did not attach")
+	decodeAll(t, mgr, &ca, parts, []string{"a", "b"})
+	decodeAll(t, mgr, &cb, parts, []string{"b"})
+	if cb.CacheHits != int64(len(parts)) || cb.BytesDecoded != 0 {
+		t.Fatalf("subset scan CacheHits = %d, BytesDecoded = %d, want %d and 0", cb.CacheHits, cb.BytesDecoded, len(parts))
 	}
-	wide := mgr.Open("t", parts, []string{"a", "b", "p"}, &cc)
-	if wide.sub != nil {
-		t.Fatal("superset scan attached to a narrower stream")
-	}
-	// The wide scan still shares the overlapping chunks once A decoded them.
-	decodeAll(t, a, parts, []string{"a", "b"})
-	decodeAll(t, wide, parts, []string{"a", "b", "p"})
+	decodeAll(t, mgr, &cc, parts, []string{"a", "b", "p"})
 	if cc.CacheHits != int64(len(parts)*2) {
 		t.Fatalf("wide scan CacheHits = %d, want %d", cc.CacheHits, len(parts)*2)
 	}
 	if want := chunkBytes(parts, []string{"p"}); cc.BytesDecoded != want {
 		t.Fatalf("wide scan BytesDecoded = %d, want %d (only the extra column)", cc.BytesDecoded, want)
 	}
-	a.Close()
-	sub.Close()
-	wide.Close()
 }
 
 // TestMissingColumn: the error path mirrors storage.DecodeColumns.
@@ -253,11 +262,9 @@ func TestMissingColumn(t *testing.T) {
 	parts := newTestParts(t, 1, 5)
 	mgr := NewManager(0)
 	var c Counters
-	s := mgr.Open("t", parts, []string{"nope"}, &c)
-	if _, err := s.Decode(parts[0], nil); err == nil {
+	if _, err := mgr.Decode(parts[0], []string{"nope"}, nil, &c); err == nil {
 		t.Fatal("expected error for unknown column")
 	}
-	s.Close()
 }
 
 // TestStopBeforeFlightWait: a pre-closed stop channel only matters while
@@ -266,16 +273,14 @@ func TestStopBeforeFlightWait(t *testing.T) {
 	parts := newTestParts(t, 1, 5)
 	mgr := NewManager(0)
 	var c Counters
-	s := mgr.Open("t", parts, testCols, &c)
 	stop := make(chan struct{})
 	close(stop)
-	if _, err := s.Decode(parts[0], stop); err != nil {
+	if _, err := mgr.Decode(parts[0], testCols, stop, &c); err != nil {
 		t.Fatalf("decode with closed stop failed: %v", err)
 	}
-	s.Close()
 }
 
-// TestConcurrentIdenticalScans: N concurrent sessions over the same
+// TestConcurrentIdenticalScans: N concurrent scans over the same
 // partitions decode each chunk exactly once between them (run under -race).
 func TestConcurrentIdenticalScans(t *testing.T) {
 	parts := newTestParts(t, 8, 50)
@@ -288,14 +293,12 @@ func TestConcurrentIdenticalScans(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := mgr.Open("t", parts, testCols, &ctrs[i])
 			for _, p := range parts {
-				if _, err := s.Decode(p, nil); err != nil {
+				if _, err := mgr.Decode(p, testCols, nil, &ctrs[i]); err != nil {
 					t.Error(err)
 					return
 				}
 			}
-			s.Close()
 		}()
 	}
 	wg.Wait()
@@ -303,10 +306,10 @@ func TestConcurrentIdenticalScans(t *testing.T) {
 	var decoded, served int64
 	for i := range ctrs {
 		decoded += ctrs[i].ChunksDecoded
-		served += ctrs[i].ChunksDecoded + ctrs[i].SharedHits + ctrs[i].CacheHits + ctrs[i].StreamHits
+		served += ctrs[i].ChunksDecoded + ctrs[i].SharedHits + ctrs[i].CacheHits
 	}
 	if decoded != chunks {
-		t.Fatalf("chunks decoded across sessions = %d, want exactly %d", decoded, chunks)
+		t.Fatalf("chunks decoded across scans = %d, want exactly %d", decoded, chunks)
 	}
 	if served != n*chunks {
 		t.Fatalf("chunks served = %d, want %d", served, n*chunks)

@@ -16,10 +16,8 @@ func TestAppendExtendsTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := st.Data("t")
-	epoch0 := st.Epoch()
-	seqs0, ok := st.PartitionSeqs("t")
-	if !ok || len(seqs0) != 2 {
-		t.Fatalf("PartitionSeqs = %v, %v", seqs0, ok)
+	if len(before.Partitions) != 2 {
+		t.Fatalf("partitions after load = %d, want 2", len(before.Partitions))
 	}
 
 	if err := st.Append("t", [][]types.Value{
@@ -42,13 +40,10 @@ func TestAppendExtendsTable(t *testing.T) {
 			t.Fatalf("append replaced published partition %d", i)
 		}
 	}
-	if st.Epoch() == epoch0 {
-		t.Fatal("append did not bump the epoch")
+	if after.Version <= before.Version {
+		t.Fatalf("append did not advance the table version: %d -> %d", before.Version, after.Version)
 	}
-	seqs1, _ := st.PartitionSeqs("t")
-	if len(seqs1) != 4 || seqs1[0] != seqs0[0] || seqs1[1] != seqs0[1] {
-		t.Fatalf("seqs = %v, want prefix %v preserved", seqs1, seqs0)
-	}
+	seqs0, seqs1 := seqsOf(before), seqsOf(after)
 	if seqs1[2] == seqs1[3] || seqs1[2] <= seqs0[1] {
 		t.Fatalf("new partition seqs not fresh and unique: %v", seqs1)
 	}
@@ -56,6 +51,15 @@ func TestAppendExtendsTable(t *testing.T) {
 	if tab.Stats.RowCount.Load() != 4 || tab.Stats.Partitions.Load() != 4 {
 		t.Errorf("stats not refreshed: rows=%d parts=%d", tab.Stats.RowCount.Load(), tab.Stats.Partitions.Load())
 	}
+}
+
+// seqsOf lists a table version's partition Seqs in order.
+func seqsOf(td *TableData) []int64 {
+	seqs := make([]int64, len(td.Partitions))
+	for i, p := range td.Partitions {
+		seqs[i] = p.Seq
+	}
+	return seqs
 }
 
 func TestAppendLeavesOtherTablesSignatureAlone(t *testing.T) {
@@ -66,13 +70,15 @@ func TestAppendLeavesOtherTablesSignatureAlone(t *testing.T) {
 	if err := st.Load("u", [][]types.Value{{types.Float(1.5)}}); err != nil {
 		t.Fatal(err)
 	}
-	uSeqs, _ := st.PartitionSeqs("u")
+	u, t0 := st.Data("u"), st.Data("t")
 	if err := st.Append("t", [][]types.Value{{types.Int(2), types.String("two"), types.Int(10)}}); err != nil {
 		t.Fatal(err)
 	}
-	uSeqs2, _ := st.PartitionSeqs("u")
-	if len(uSeqs) != len(uSeqs2) || uSeqs[0] != uSeqs2[0] {
-		t.Fatalf("append to t changed u's partition set: %v -> %v", uSeqs, uSeqs2)
+	if u2 := st.Data("u"); u2 != u || u2.Version != u.Version {
+		t.Fatalf("append to t changed u's data: version %d -> %d", u.Version, u2.Version)
+	}
+	if st.Data("t").Version <= t0.Version {
+		t.Fatal("append to t did not advance t's version")
 	}
 }
 
@@ -90,12 +96,12 @@ func TestAppendErrorsAndEmpty(t *testing.T) {
 	if err := st.Append("t", [][]types.Value{{types.String("x"), types.String("one"), types.Int(10)}}); err == nil {
 		t.Error("mistyped row accepted")
 	}
-	epoch := st.Epoch()
+	snap := st.Snapshot()
 	if err := st.Append("t", nil); err != nil {
 		t.Fatalf("empty append: %v", err)
 	}
-	if st.Epoch() != epoch {
-		t.Error("empty append bumped the epoch")
+	if st.Snapshot() != snap {
+		t.Error("empty append published a new snapshot")
 	}
 	// Append into a table that was never loaded starts it from scratch.
 	if err := st.Append("u", [][]types.Value{{types.Float(2.5)}}); err != nil {
@@ -171,9 +177,8 @@ func TestAppendConcurrentSameTable(t *testing.T) {
 	if n := st.Data("t").NumRows(); n != writers*perWriter {
 		t.Fatalf("rows = %d, want %d (lost appends)", n, writers*perWriter)
 	}
-	seqs, _ := st.PartitionSeqs("t")
 	seen := map[int64]bool{}
-	for _, s := range seqs {
+	for _, s := range seqsOf(st.Data("t")) {
 		if seen[s] {
 			t.Fatalf("duplicate partition seq %d", s)
 		}
@@ -182,15 +187,16 @@ func TestAppendConcurrentSameTable(t *testing.T) {
 }
 
 // TestSnapshotEpochMatchesData takes snapshots while a writer appends: each
-// snapshot's epoch must name exactly the data it holds, and later appends
-// must not reach into it.
+// snapshot's table version must name exactly the data it holds, and later
+// appends must not reach into it.
 func TestSnapshotEpochMatchesData(t *testing.T) {
 	st := NewStore(testCatalog())
 	row := [][]types.Value{{types.Int(1), types.String("r"), types.Int(1)}}
 	if err := st.Load("t", row); err != nil {
 		t.Fatal(err)
 	}
-	base := st.Epoch() - 1 // the epoch before the Load
+	// Only "t" is published from here on, one version per Append.
+	base := st.Data("t").Version - 1
 	const appends = 200
 	done := make(chan struct{})
 	go func() {
@@ -213,8 +219,9 @@ func TestSnapshotEpochMatchesData(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := int64(len(parts)), snap.Epoch()-base; got != want {
-			t.Fatalf("snapshot at epoch %d holds %d partitions, want %d", snap.Epoch(), got, want)
+		version := snap.Data("t").Version
+		if got, want := int64(len(parts)), version-base; got != want {
+			t.Fatalf("snapshot at version %d holds %d partitions, want %d", version, got, want)
 		}
 	}
 	old := st.Snapshot()

@@ -11,6 +11,8 @@ package storage
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -38,9 +40,8 @@ type ColumnChunk struct {
 // Partition is a horizontal slice of a table sharing one partition-column
 // value (the whole table, for unpartitioned tables). Partitions are
 // immutable once published: Load and Append only ever create fresh
-// Partition values, which is what keeps pointer-keyed caches (scanshare's
-// decoded-chunk LRU) and Seq-keyed caches (rescache partition signatures)
-// invalidation-safe without coordination.
+// Partition values, each with a fresh Seq, so a cache keyed by Seq
+// (scanshare's decoded-chunk LRU) can never return another partition's data.
 type Partition struct {
 	// Key is the shared partition-column value; unpartitioned tables have a
 	// single partition with a NULL key.
@@ -48,9 +49,7 @@ type Partition struct {
 	NumRows int
 	// Seq is the store-wide creation sequence number of this partition: every
 	// partition ever published by Load or Append gets a distinct, monotonic
-	// Seq. A table's ordered Seq list is therefore a precise fingerprint of
-	// its current partition set — data-version state at partition
-	// granularity, where the store epoch is the coarse whole-store version.
+	// Seq.
 	Seq    int64
 	chunks map[string]*ColumnChunk
 }
@@ -73,10 +72,17 @@ func (p *Partition) DecodeColumns(cols []string) ([][]types.Value, error) {
 	return out, nil
 }
 
-// TableData is the stored form of one table.
+// TableData is the stored form of one table, as of one publish.
 type TableData struct {
 	Table      *catalog.Table
 	Partitions []*Partition
+	// Version identifies this publish of the table: every Load and Append
+	// publishes a TableData with a larger Version than any before it in the
+	// store, so two TableData of one store hold the same partitions exactly
+	// when their Versions are equal. Caches of results derived from a table
+	// (rescache entries, exec.ShapeCache shapes) key on it, which leaves
+	// their entries over other tables alive across an Append.
+	Version int64
 }
 
 // TotalBytes returns the full on-storage size of the table (all partitions,
@@ -117,52 +123,40 @@ func (m *Metrics) AddRows(n int64) { atomic.AddInt64(&m.RowsScanned, n) }
 type Store struct {
 	cat *catalog.Catalog
 
-	// mu guards the tables map. Mutations are copy-on-write: Load and
-	// Append publish a brand-new *TableData (with a fresh partition slice)
-	// under the write lock, so a reader that snapshotted a TableData before
-	// a concurrent mutation keeps a fully consistent immutable view.
-	mu     sync.RWMutex
-	tables map[string]*TableData
+	// snap is the current read view. Load and Append build the table's new
+	// TableData and publish a fresh Snapshot holding it; a published
+	// Snapshot is never modified, so a reader that took one keeps a fully
+	// consistent view across concurrent mutations. mu serializes publishers
+	// (the read-modify-publish of Append); readers take no lock.
+	mu   sync.Mutex
+	snap atomic.Pointer[Snapshot]
+	// version is the last TableData.Version handed out, guarded by mu.
+	version int64
 
 	// shareState is lazily initialized cross-query scan-share state, owned
 	// by the scanshare layer but anchored here so every engine instance over
 	// the same data resolves the same manager (sharing is only meaningful —
-	// and only safe, since cache keys are partition pointers — within one
+	// and only safe, since cache keys are partition Seqs — within one
 	// store).
 	shareMu    sync.Mutex
 	shareState any
 
 	// rescacheState is the lazily initialized cross-query result-cache
 	// state, owned by the rescache layer but anchored here for the same
-	// reason as shareState: entries are validated against this store's
-	// partition sequence numbers, so the cache is only meaningful within
-	// one store.
+	// reason as shareState: entries are keyed by this store's table
+	// versions, so the cache is only meaningful within one store.
 	rescacheMu    sync.Mutex
 	rescacheState any
-
-	// epoch counts data mutations (Load and Append calls). Layers that
-	// cache anything derived from partition metadata — chain-shape
-	// attribution, pruning statistics — key their entries by epoch so a
-	// data change invalidates them without coordination. Layers that want
-	// finer invalidation (surviving an append to an unrelated table) use
-	// per-partition Seq signatures instead.
-	epoch atomic.Int64
 
 	// partSeq allocates Partition.Seq values.
 	partSeq atomic.Int64
 }
 
-// Epoch returns the store's data version: it increments on every Load and
-// Append, so caches keyed by (anything, epoch) are invalidated by data
-// changes. Cache layers must read the epoch BEFORE enumerating partitions:
-// that ordering guarantees a concurrent mutation can at worst leave a
-// result recorded under the pre-mutation epoch (a dead entry), never stale
-// data under the live epoch.
-func (s *Store) Epoch() int64 { return s.epoch.Load() }
-
 // NewStore creates an empty store over the catalog.
 func NewStore(cat *catalog.Catalog) *Store {
-	return &Store{cat: cat, tables: make(map[string]*TableData)}
+	s := &Store{cat: cat}
+	s.snap.Store(&Snapshot{tables: map[string]*TableData{}})
+	return s
 }
 
 // Catalog returns the catalog this store serves.
@@ -277,17 +271,28 @@ func (s *Store) buildPartitions(tab *catalog.Table, rows [][]types.Value) []*Par
 	return parts
 }
 
-// publish installs td as the table's data under the write lock, refreshes
-// the coarse optimizer statistics, and bumps the store epoch. Holding the
-// lock across the stats refresh keeps last-publish-wins ordering between
-// the map and the statistics.
-func (s *Store) publish(table string, td *TableData) {
+// publish installs the table's next version under the write lock: fresh
+// alone (Load), or the current partitions followed by fresh (Append). It
+// refreshes the coarse optimizer statistics and publishes a new Snapshot.
+// Holding the lock across the stats refresh keeps last-publish-wins
+// ordering between the snapshot and the statistics.
+func (s *Store) publish(tab *catalog.Table, fresh []*Partition, keepOld bool) {
 	s.mu.Lock()
-	s.tables[table] = td
-	td.Table.Stats.RowCount.Store(td.NumRows())
-	td.Table.Stats.Partitions.Store(int64(len(td.Partitions)))
-	s.epoch.Add(1) // under the lock, so a Snapshot's epoch matches its tables
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	cur := s.snap.Load()
+	td := &TableData{Table: tab, Partitions: fresh}
+	if old := cur.tables[tab.Name]; keepOld && old != nil {
+		// Copy-on-write: the old TableData keeps its own partition slice.
+		td.Partitions = append(slices.Clip(old.Partitions), fresh...)
+	}
+	s.version++
+	td.Version = s.version
+	tables := make(map[string]*TableData, len(cur.tables)+1)
+	maps.Copy(tables, cur.tables)
+	tables[tab.Name] = td
+	s.snap.Store(&Snapshot{tables: tables})
+	tab.Stats.RowCount.Store(td.NumRows())
+	tab.Stats.Partitions.Store(int64(len(td.Partitions)))
 }
 
 // Load ingests rows for a table, splitting them into partitions by the
@@ -302,8 +307,7 @@ func (s *Store) Load(table string, rows [][]types.Value) error {
 	if err := checkRows(tab, table, rows); err != nil {
 		return err
 	}
-	td := &TableData{Table: tab, Partitions: s.buildPartitions(tab, rows)}
-	s.publish(table, td)
+	s.publish(tab, s.buildPartitions(tab, rows), false)
 	return nil
 }
 
@@ -311,10 +315,7 @@ func (s *Store) Load(table string, rows [][]types.Value) error {
 // ones — the runtime write path. Like new objects landing under a table's
 // S3 prefix, appended rows become fresh Partition values (several
 // partitions may share a Key after appends); existing partitions are never
-// mutated, so pointer-keyed caches over them stay valid, and because every
-// new partition gets a fresh Seq, partition-set signatures over any touched
-// table change while signatures over untouched tables survive. The store
-// epoch bumps, invalidating coarse epoch-keyed caches.
+// mutated. The table gets a new Version; other tables keep theirs.
 func (s *Store) Append(table string, rows [][]types.Value) error {
 	tab, ok := s.cat.Table(table)
 	if !ok {
@@ -329,74 +330,45 @@ func (s *Store) Append(table string, rows [][]types.Value) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	fresh := s.buildPartitions(tab, rows)
-	// Copy-on-write under the write lock: concurrent readers holding the old
-	// TableData keep a consistent immutable snapshot, and the read-modify-
-	// publish of the partition list is atomic against concurrent appends.
-	s.mu.Lock()
-	td := &TableData{Table: tab}
-	if old := s.tables[table]; old != nil {
-		td.Partitions = append(make([]*Partition, 0, len(old.Partitions)+len(fresh)), old.Partitions...)
-	}
-	td.Partitions = append(td.Partitions, fresh...)
-	s.tables[table] = td
-	tab.Stats.RowCount.Store(td.NumRows())
-	tab.Stats.Partitions.Store(int64(len(td.Partitions)))
-	s.epoch.Add(1)
-	s.mu.Unlock()
+	s.publish(tab, s.buildPartitions(tab, rows), true)
 	return nil
 }
 
 // Data returns the stored table, or nil if not loaded. The returned
-// TableData is an immutable snapshot: concurrent Load/Append calls publish
+// TableData is immutable: concurrent Load/Append calls publish
 // replacement values rather than mutating it.
-func (s *Store) Data(table string) *TableData {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tables[table]
-}
+func (s *Store) Data(table string) *TableData { return s.Snapshot().Data(table) }
 
 // Pruner decides whether a partition must be read given its key value.
 type Pruner func(key types.Value) bool
 
-// ScanPartitions returns the partitions surviving the pruner (all of them
-// when pruner is nil), charging bytes and rows for the given columns to the
-// metrics. The walk runs over an immutable TableData snapshot, so a
-// concurrent Load/Append never changes the partition set mid-enumeration.
+// ScanPartitions is Snapshot.ScanPartitions over the current snapshot.
 func (s *Store) ScanPartitions(table string, cols []string, prune Pruner, m *Metrics) ([]*Partition, error) {
-	return scanPartitions(table, s.Data(table), cols, prune, m)
+	return s.Snapshot().ScanPartitions(table, cols, prune, m)
 }
 
-// Snapshot is a consistent read view of every table's partition set as of
-// one store epoch. Runs that must agree on which data they read — a fused
-// run and the as-if-solo charges computed for its members — take one
-// snapshot and read through it, so a concurrent Append cannot land between
-// their partition walks.
+// Snapshot is an immutable read view of every table's data as of one
+// publish. A run takes one snapshot and reads every scan through it, so two
+// scans of one table in a run see the same partitions even when an Append
+// lands between their builds; a fused run and the as-if-solo charges
+// computed for its members likewise read one snapshot.
 type Snapshot struct {
 	tables map[string]*TableData
-	epoch  int64
 }
 
-// Snapshot captures the current table set and its epoch.
-func (s *Store) Snapshot() *Snapshot {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	tables := make(map[string]*TableData, len(s.tables))
-	for name, td := range s.tables {
-		tables[name] = td
-	}
-	return &Snapshot{tables: tables, epoch: s.epoch.Load()}
-}
+// Snapshot returns the current read view. It takes no lock and copies
+// nothing: every publish installs a fresh Snapshot, so equal pointers mean
+// the same data.
+func (s *Store) Snapshot() *Snapshot { return s.snap.Load() }
 
-// Epoch returns the store epoch the snapshot was taken at.
-func (sn *Snapshot) Epoch() int64 { return sn.epoch }
+// Data returns the table's data in the snapshot, or nil if not loaded.
+func (sn *Snapshot) Data(table string) *TableData { return sn.tables[table] }
 
-// ScanPartitions is Store.ScanPartitions over the snapshot's partition sets.
+// ScanPartitions returns the table's partitions surviving the pruner (all
+// of them when pruner is nil), charging bytes and rows for the given
+// columns to the metrics (which may be nil).
 func (sn *Snapshot) ScanPartitions(table string, cols []string, prune Pruner, m *Metrics) ([]*Partition, error) {
-	return scanPartitions(table, sn.tables[table], cols, prune, m)
-}
-
-func scanPartitions(table string, td *TableData, cols []string, prune Pruner, m *Metrics) ([]*Partition, error) {
+	td := sn.tables[table]
 	if td == nil {
 		return nil, fmt.Errorf("storage: table %q has no data loaded", table)
 	}
@@ -420,20 +392,4 @@ func scanPartitions(table string, td *TableData, cols []string, prune Pruner, m 
 		out = append(out, p)
 	}
 	return out, nil
-}
-
-// PartitionSeqs returns the ordered Seq numbers of the table's current
-// partitions — a precise, cheap signature of the table's data version
-// (metadata only; nothing is decoded or charged). ok is false when the
-// table has no data loaded.
-func (s *Store) PartitionSeqs(table string) (seqs []int64, ok bool) {
-	td := s.Data(table)
-	if td == nil {
-		return nil, false
-	}
-	seqs = make([]int64, len(td.Partitions))
-	for i, p := range td.Partitions {
-		seqs[i] = p.Seq
-	}
-	return seqs, true
 }

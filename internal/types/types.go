@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"strconv"
 	"time"
+	"unsafe"
 )
 
 // Kind enumerates the scalar data types supported by the engine.
@@ -75,6 +76,21 @@ type Value struct {
 	I    int64
 	F    float64
 	S    string
+}
+
+// valueSize is the resident size of one Value struct (40 bytes on 64-bit
+// platforms).
+const valueSize = int64(unsafe.Sizeof(Value{}))
+
+// ResidentBytes estimates the memory a slice of values holds: one Value
+// struct each plus string payloads. Caches of decoded values (the
+// scan-share chunk cache, the result cache) account their entries with it.
+func ResidentBytes(vals []Value) int64 {
+	n := int64(len(vals)) * valueSize
+	for i := range vals {
+		n += int64(len(vals[i].S))
+	}
+	return n
 }
 
 // Null values of each kind.

@@ -2,7 +2,7 @@ package xfuse
 
 import (
 	"repro/internal/exec"
-	"repro/internal/rescache"
+	"repro/internal/storage"
 	"repro/internal/types"
 )
 
@@ -16,18 +16,17 @@ import (
 // admission afterwards, so a fused batch both consumes and feeds the same
 // cache a solo run would.
 
-// probeCache serves every live entry whose plan has a valid cached result
-// and returns the members that still need execution. Misses keep their
-// transaction (whose partition-set signature was snapshotted here, before
-// the fused run enumerates partitions) on the entry for the offer after the
-// group runs.
-func (r *Runner) probeCache(live []*entry, batched int64) []*entry {
+// probeCache serves every live entry whose plan has a cached result at the
+// batch snapshot's table versions and returns the members that still need
+// execution. Misses keep their transaction on the entry for the offer after
+// the group runs, which reads the same snapshot.
+func (r *Runner) probeCache(live []*entry, batched int64, snap *storage.Snapshot) []*entry {
 	if r.rcache == nil {
 		return live
 	}
 	kept := live[:0]
 	for _, e := range live {
-		tx := r.rcache.Begin(e.plan, r.store)
+		tx := r.rcache.Begin(e.plan, snap)
 		if tx == nil {
 			kept = append(kept, e)
 			continue
@@ -44,11 +43,7 @@ func (r *Runner) probeCache(live []*entry, batched int64) []*entry {
 			rows[i] = append(exec.Row(nil), row...)
 		}
 		var m exec.Metrics
-		m.Storage.BytesScanned = ent.Cost.BytesScanned
-		m.Storage.RowsScanned = ent.Cost.RowsScanned
-		m.RowsProcessed = ent.Cost.RowsProcessed
-		m.HashRows = ent.Cost.HashRows
-		m.MaskPrefixHits = ent.Cost.MaskPrefixHits
+		exec.ChargeCost(&m, ent.Cost)
 		m.ResultCache = exec.ResultCacheMetrics{Hits: 1, ServedBytes: ent.Bytes}
 		m.SharedExec = exec.SharedExecMetrics{BatchedQueries: batched, FusedPlans: 1, WindowWaits: 1}
 		e.res = &exec.Result{Columns: e.cl.outCols, Rows: rows, Metrics: m}
@@ -72,14 +67,12 @@ func offerResult(e *entry, m *exec.Metrics, rows []exec.Row) {
 	var bytes int64
 	for i, row := range rows {
 		cp[i] = append([]types.Value(nil), row...)
-		bytes += rescache.RowBytes(cp[i])
+		bytes += types.ResidentBytes(cp[i])
 	}
-	cost := rescache.CostMetrics{
-		BytesScanned:  m.Storage.BytesScanned,
-		RowsScanned:   m.Storage.RowsScanned,
-		RowsProcessed: m.RowsProcessed,
-		HashRows:      m.HashRows,
-	}
+	// MaskPrefixHits in a stamped run is the fused plan's physical count,
+	// not the member's solo work, so a later hit must not replay it.
+	cost := exec.CostOf(m)
+	cost.MaskPrefixHits = 0
 	admitted, evicted := e.rctx.Offer(cp, bytes, cost)
 	if !admitted {
 		m.ResultCache.AdmissionRejects++

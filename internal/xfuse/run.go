@@ -38,7 +38,7 @@ func stampMetrics(fused exec.Metrics, shape *exec.ChainShape, rowsProcessed, has
 // exec.RunShared routes each surviving row to the members whose predicates
 // admit it (one mask-family pass for all members). Row order is the fused
 // scan order, which Fuse preserves — identical to each member's solo order.
-func (r *Runner) runSFPGroup(batched int64, g *group) {
+func (r *Runner) runSFPGroup(batched int64, g *group, opts exec.Options) {
 	nm := len(g.members)
 	layout := map[expr.ColumnID]int{}
 	for i, c := range g.chain.Schema() {
@@ -59,7 +59,6 @@ func (r *Runner) runSFPGroup(batched int64, g *group) {
 		}
 		subs[i] = exec.SharedSub{Comp: g.comps[i], Cols: cols}
 	}
-	opts := r.groupOptions(g)
 	fres, perSub, err := exec.RunShared(g.chain, r.store, opts, subs)
 	if err != nil {
 		deliverSoloGroup(g, batched)
@@ -88,7 +87,7 @@ func (r *Runner) runSFPGroup(batched int64, g *group) {
 // count. The single fused output row is then replayed through each
 // member's own Project stack (compiled by the ordinary executor, so
 // expression semantics are bit-identical to solo).
-func (r *Runner) runScalarGroup(batched int64, g *group) {
+func (r *Runner) runScalarGroup(batched int64, g *group, opts exec.Options) {
 	nm := len(g.members)
 	var merged []logical.AggAssign
 	tailMaps := make([]expr.Mapping, nm)
@@ -131,7 +130,6 @@ func (r *Runner) runScalarGroup(batched int64, g *group) {
 		}
 	}
 	gbPlan := &logical.GroupBy{Input: g.chain, Aggs: merged}
-	opts := r.groupOptions(g)
 	fres, err := exec.RunWith(gbPlan, r.store, opts)
 	if err != nil || len(fres.Rows) != 1 {
 		deliverSoloGroup(g, batched)

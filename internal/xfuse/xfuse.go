@@ -46,7 +46,7 @@ type Runner struct {
 	opts exec.Options
 	cfg  Config
 	// shapes caches AnalyzeChain's partition-metadata replay per
-	// (chain fingerprint, store epoch), so attributing a fused group's
+	// (chain fingerprint, table version), so attributing a fused group's
 	// members walks partition metadata once per distinct shape, not once
 	// per member per run.
 	shapes *exec.ShapeCache
@@ -185,8 +185,8 @@ type entry struct {
 	// batch skips (or discards) this entry's work.
 	abandoned atomic.Bool
 	// rctx is this entry's result-cache transaction: begun at probe time
-	// (before the fused run enumerates partitions) when the probe missed,
-	// consumed by the post-run offer. nil when the cache is off, the plan
+	// over the batch snapshot when the probe missed, consumed by the
+	// post-run offer. nil when the cache is off, the plan
 	// is ineligible, or the probe hit.
 	rctx *rescache.Tx
 }
@@ -298,9 +298,14 @@ func (r *Runner) execute(b *batch) {
 		}
 	}
 	n := int64(len(live))
+	// One read view for the whole batch: cache probes, fused runs and the
+	// members' as-if-solo charges (AnalyzeChain) all read this snapshot, so
+	// an Append racing the batch cannot bill a member for data its rows did
+	// not come from, nor cache a result under the wrong table version.
+	snap := r.store.Snapshot()
 	// Serve cached members before grouping: a hit needs no execution at
 	// all, and excluding it keeps the fused plan to the members that do.
-	live = r.probeCache(live, n)
+	live = r.probeCache(live, n, snap)
 	byClass := map[planClass][]*entry{}
 	for _, e := range live {
 		byClass[e.cl.class] = append(byClass[e.cl.class], e)
@@ -315,7 +320,7 @@ func (r *Runner) execute(b *batch) {
 			g := g
 			go func() {
 				defer r.wg.Done()
-				r.runGroup(n, g)
+				r.runGroup(n, g, snap)
 			}()
 		}
 	}
@@ -337,27 +342,26 @@ func deliverSoloGroup(g *group, batched int64) {
 	}
 }
 
-func (r *Runner) runGroup(batched int64, g *group) {
+func (r *Runner) runGroup(batched int64, g *group, snap *storage.Snapshot) {
+	opts := r.groupOptions(g, snap)
 	switch g.class {
 	case classSFP:
-		r.runSFPGroup(batched, g)
+		r.runSFPGroup(batched, g, opts)
 	case classScalar:
-		r.runScalarGroup(batched, g)
+		r.runScalarGroup(batched, g, opts)
 	}
 }
 
-// groupOptions builds the fused run's execution options: one shared memory
-// attribution for the whole batch, query text naming it, and a worker
+// groupOptions builds the fused run's execution options: the batch's
+// snapshot, one shared memory attribution for the whole batch, query text
+// naming it, and a worker
 // budget scaled by the batch size — the fused plan is doing its members'
 // combined work, so it gets the workers they would have used (capped at the
 // hardware), not one member's share. Results are bit-identical at any
 // parallelism, so the scaling is unobservable in rows and logical metrics.
-func (r *Runner) groupOptions(g *group) exec.Options {
+func (r *Runner) groupOptions(g *group, snap *storage.Snapshot) exec.Options {
 	opts := r.opts
-	// The fused run and every member's as-if-solo charge (AnalyzeChain)
-	// read this one snapshot, so an Append racing the run cannot bill a
-	// member for data its rows did not come from.
-	opts.Snapshot = r.store.Snapshot()
+	opts.Snapshot = snap
 	opts.SharedClients = len(g.members)
 	opts.QueryText = sharedQueryText(len(g.members), g.members[0].sql)
 	// A fused run serves several clients' combined work, so it gets its own
